@@ -2,14 +2,18 @@
 
 Exit codes: 0 success (identity verified, or hypothesis failed without
 --strict); 1 falsification (determinants differ although the hypothesis
-holds, or any inequality under --strict); 2 input error; 3 enumeration or
-sweep guard breached.  The environment variable SKEWLGV_MAX_TUPLES
-overrides the default path-tuple cap of the brute-force enumerator.
+holds, or any inequality under --strict); 2 input error, including a
+--jsonl file that cannot be written; 3 enumeration or sweep guard
+breached.  The environment variable SKEWLGV_MAX_TUPLES (a positive
+integer) overrides the default path-tuple cap of the brute-force
+enumerator.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -48,9 +52,12 @@ def _tuple_cap() -> int:
     if raw is None:
         return DEFAULT_TUPLE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ShapeError(f"SKEWLGV_MAX_TUPLES must be an integer, got {raw!r}")
+        cap = 0  # refused below with the non-positive values
+    if cap <= 0:
+        raise ShapeError(f"SKEWLGV_MAX_TUPLES must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _problem(args: argparse.Namespace) -> tuple[SkewShape, IndexSelection]:
@@ -65,28 +72,38 @@ def _problem(args: argparse.Namespace) -> tuple[SkewShape, IndexSelection]:
     return shape, sel
 
 
-def _poly_str(p: Polynomial | None) -> str | None:
-    return None if p is None else str(p)
+# report fields renamed in JSON output, and fields left out of it
+_JSON_KEYS = {
+    "a_set": "A",
+    "b_set": "B",
+    "isolated": "isolated_points",
+    "det_h_direct": "det_h",
+    "det_e_direct": "det_e",
+}
+_JSON_OMIT = frozenset({"det_h_staircase", "det_e_staircase"})
 
 
-def _report_dict(report: identity.VerificationReport) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": report.n,
-        "alpha": list(report.alpha),
-        "beta": list(report.beta),
-        "A": list(report.a_set),
-        "B": list(report.b_set),
-        "hypothesis_ok": report.hypothesis_ok,
-        "violating_pairs": [list(p) for p in report.violating_pairs],
-        "det_h": str(report.det_h),
-        "det_e": str(report.det_e),
-        "equal": report.equal,
-        "brute_blue": _poly_str(report.brute_blue),
-        "brute_red": _poly_str(report.brute_red),
-        "isolated_points": [list(p) for p in report.isolated],
-        "row_connected": report.row_connected,
-    }
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field, JSON key) pairs of a report dataclass, in declaration order."""
+    return tuple(
+        (f.name, _JSON_KEYS.get(f.name, f.name))
+        for f in dataclasses.fields(cls)
+        if f.name not in _JSON_OMIT
+    )
+
+
+def _report_dict(report, kind: str | None = None) -> dict:
+    """JSON payload of a report dataclass: the schema (and kind) head, then
+    its fields, polynomials as strings.  Tuples stay tuples; json writes
+    them as arrays."""
+    payload: dict = {"schema": SCHEMA_VERSION}
+    if kind is not None:
+        payload["kind"] = kind
+    for name, key in _json_fields(type(report)):
+        v = getattr(report, name)
+        payload[key] = str(v) if isinstance(v, Polynomial) else v
+    return payload
 
 
 def _print_report(report: identity.VerificationReport) -> None:
@@ -183,67 +200,23 @@ def cmd_special(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "binomial":
         rep = identity.verify_binomial(args.n, sel)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "n": args.n,
-            "A": list(sel.a_set),
-            "B": list(sel.b_set),
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "equal": rep.equal,
-        }
         text = f"det(C(b,a)) = {rep.lhs}, complement det = {rep.rhs}"
-        equal = rep.equal
     elif kind == "qbinomial":
-        qrep = identity.verify_qbinomial(args.n, sel)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "n": args.n,
-            "A": list(sel.a_set),
-            "B": list(sel.b_set),
-            "det_lhs": str(qrep.det_lhs),
-            "det_rhs": str(qrep.det_rhs),
-            "equal": qrep.equal,
-        }
-        text = f"lhs = {qrep.det_lhs}\nrhs = {qrep.det_rhs}"
-        equal = qrep.equal
+        rep = identity.verify_qbinomial(args.n, sel)
+        text = f"lhs = {rep.det_lhs}\nrhs = {rep.det_rhs}"
     elif kind == "sympoly":
-        srep = identity.verify_sympoly_binomial(args.n, sel)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "n": args.n,
-            "A": list(sel.a_set),
-            "B": list(sel.b_set),
-            "det_h": str(srep.det_h_direct),
-            "det_e": str(srep.det_e_direct),
-            "equal": srep.equal,
-            "routes_agree": srep.routes_agree,
-        }
+        rep = identity.verify_sympoly_binomial(args.n, sel)
         text = (
-            f"det_h = {srep.det_h_direct}\ndet_e = {srep.det_e_direct}\n"
-            f"staircase route agrees: {'yes' if srep.routes_agree else 'NO'}"
+            f"det_h = {rep.det_h_direct}\ndet_e = {rep.det_e_direct}\n"
+            f"staircase route agrees: {'yes' if rep.routes_agree else 'NO'}"
         )
-        equal = srep.equal and srep.routes_agree
     else:
-        arep = identity.verify_aitken(args.m, args.n, sel)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "m": args.m,
-            "n": args.n,
-            "A": list(sel.a_set),
-            "B": list(sel.b_set),
-            "det_h": str(arep.det_h),
-            "det_e": str(arep.det_e),
-            "equal": arep.equal,
-        }
-        text = f"det_h = {arep.det_h}\ndet_e = {arep.det_e}"
-        equal = arep.equal
+        rep = identity.verify_aitken(args.m, args.n, sel)
+        text = f"det_h = {rep.det_h}\ndet_e = {rep.det_e}"
+    # only the sympoly report carries a second check
+    equal = rep.equal and getattr(rep, "routes_agree", True)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_report_dict(rep, kind), indent=2))
     else:
         print(text)
         print(f"equal: {'yes' if equal else 'NO'}")
@@ -258,23 +231,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         return EXIT_GUARD
     stream = None
-    if args.jsonl:
-        stream = open(args.jsonl, "w", encoding="utf-8")
 
     def emit(report: identity.VerificationReport) -> None:
         if stream is not None:
             stream.write(json.dumps(_report_dict(report)) + "\n")
 
     try:
-        summary = identity.run_sweep(
-            args.max_n,
-            args.max_part,
-            hypothesis_only=args.hypothesis_only,
-            per_case=emit,
-        )
-    finally:
-        if stream is not None:
-            stream.close()
+        if args.jsonl:
+            stream = open(args.jsonl, "w", encoding="utf-8")
+        try:
+            summary = identity.run_sweep(
+                args.max_n,
+                args.max_part,
+                hypothesis_only=args.hypothesis_only,
+                per_case=emit,
+            )
+        finally:
+            if stream is not None:
+                stream.close()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     payload = {
         "schema": SCHEMA_VERSION,
         "max_n": args.max_n,

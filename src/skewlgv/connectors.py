@@ -5,7 +5,8 @@ A connector is a tuple of paths joining the i-th source to the i-th sink,
 walks the full Cartesian product of per-pair path lists and filters; it is
 deliberately naive because its whole job is to be an oracle that the
 determinants are checked against.  A configurable cap guards against
-combinatorial explosion.
+combinatorial explosion; it is checked by counting paths before any path
+is built.
 
 The bijection sends a vertex-disjoint blue connector to the red connector
 obtained by walking from each red source, stepping horizontally except at
@@ -145,14 +146,39 @@ def pair_path_lists(lat: Lattice) -> list[list[Path]]:
     ]
 
 
+def _path_count(lat: Lattice, src: Node, snk: Node) -> int:
+    # every step moves down or toward the sink's column, so a path stays in
+    # the box spanned by src and snk; count backwards from snk, row by row
+    step = 1 if lat.flavor == "L" else -1
+    counts = {snk: 1}
+    for i in range(snk.i, src.i - 1, -1):
+        for j in range(snk.j, src.j - step, -step):
+            u = Node(i, j)
+            if u != snk:
+                counts[u] = sum(counts.get(v, 0) for v, _ in lat.successors(u))
+    return counts.get(src, 0)
+
+
 def tuple_count(lat: Lattice) -> int:
-    """Size of the full Cartesian product the enumerator would visit."""
+    """Size of the full Cartesian product the enumerator would visit,
+    counted without building any path."""
     total = 1
     for s, t in zip(lat.sources, lat.sinks):
-        total *= len(enumerate_paths(lat, s, t))
+        total *= _path_count(lat, s, t)
         if total == 0:
             return 0
     return total
+
+
+def check_tuple_cap(lat: Lattice, cap: int | None = None) -> None:
+    """Raise EnumerationCapError when enumerating lat's connectors would
+    visit more path tuples than the cap allows."""
+    limit = DEFAULT_TUPLE_CAP if cap is None else cap
+    total = tuple_count(lat)
+    if total > limit:
+        raise EnumerationCapError(
+            f"{total} path tuples exceed the cap of {limit}"
+        )
 
 
 def iter_connectors(
@@ -160,15 +186,8 @@ def iter_connectors(
     disjoint_only: bool = True,
     cap: int | None = None,
 ) -> Iterator[Connector]:
-    limit = DEFAULT_TUPLE_CAP if cap is None else cap
+    check_tuple_cap(lat, cap)
     lists = pair_path_lists(lat)
-    total = 1
-    for lst in lists:
-        total *= len(lst)
-    if total > limit:
-        raise EnumerationCapError(
-            f"{total} path tuples exceed the cap of {limit}"
-        )
     flavor = _flavor_of(lat)
     if not lists:
         yield Connector((), Polynomial.one(), flavor)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from . import connectors as conn
 from .detring import PolyMatrix, det
-from .lattice import Node, build_L, build_R
+from .lattice import Node, build_L, build_R, line_points, touches_box
 from .poly import Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
     HypothesisCheck,
@@ -70,27 +70,14 @@ def build_e_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
     return PolyMatrix(sel.r, sel.r, entries, sel.a_comp, sel.b_comp)
 
 
-def _is_corner(shape: SkewShape, p: Node) -> bool:
-    for row in (p.i, p.i + 1):
-        if 1 <= row <= shape.n:
-            lo = shape.alpha[row - 1]
-            hi = shape.beta[row - 1]
-            if lo < hi and lo <= p.j <= hi:
-                return True
-    return False
-
-
 def isolated_endpoints(shape: SkewShape) -> tuple[Node, ...]:
     """Designated source/sink coordinates that touch no box.
 
     Such points are adjoined to the lattices as isolated nodes; listing
     them keeps that convention visible in reports.
     """
-    pts = set()
-    for t in range(shape.n + 1):
-        pts.add(Node(t, shape.alpha_part(t + 1)))
-        pts.add(Node(t, shape.beta_part(t)))
-    return tuple(sorted(p for p in pts if not _is_corner(shape, p)))
+    pts = {p for t in range(shape.n + 1) for p in line_points(shape, t)}
+    return tuple(sorted(p for p in pts if not touches_box(shape, p)))
 
 
 @dataclass
@@ -120,14 +107,19 @@ def verify_main(
     cap: int | None = None,
 ) -> VerificationReport:
     """Compute both determinants and, optionally, both brute-force
-    connector sums.  Raises only on enumeration overflow."""
+    connector sums.  Raises only on enumeration overflow, which is checked
+    on both lattices before any other work."""
+    if with_brute:
+        l_lat, r_lat = build_L(shape, sel), build_R(shape, sel)
+        conn.check_tuple_cap(l_lat, cap)
+        conn.check_tuple_cap(r_lat, cap)
     hyp: HypothesisCheck = parallelogram_hypothesis(shape, sel)
     dh = det(build_h_matrix(shape, sel))
     de = det(build_e_matrix(shape, sel))
     brute_blue = brute_red = None
     if with_brute:
-        brute_blue = conn.connector_sum(build_L(shape, sel), cap=cap)
-        brute_red = conn.connector_sum(build_R(shape, sel), cap=cap)
+        brute_blue = conn.connector_sum(l_lat, cap=cap)
+        brute_red = conn.connector_sum(r_lat, cap=cap)
     return VerificationReport(
         n=shape.n,
         alpha=shape.alpha,

@@ -10,19 +10,28 @@ along the right-hand side of each box; a descent in column j weighs x_j.
 The right lattice ("R", red) walks leftward and down-leftward across each
 box's top-right to bottom-left diagonal, again weighing x_j.  Horizontal
 steps are free.
+
+Both lattices are implicit: a ``Lattice`` holds only its flavor, shape and
+designated endpoints, and reads every edge and weight off the shape when
+asked.  The node and edge sets are derived views, built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .poly import Polynomial
-from .shape import IndexSelection, SkewShape
+from .shape import IndexSelection, SkewShape, line_runs
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DIAGONAL = "diagonal"
+
+# every horizontal step carries this one instance; the path walkers skip
+# products by identity with it
+_ONE = Polynomial.one()
 
 
 class Node(NamedTuple):
@@ -37,205 +46,182 @@ class Edge(NamedTuple):
     weight: Polynomial
 
 
+def _row_has_box(shape: SkewShape, row: int, j: int) -> bool:
+    """True when 1-indexed row `row` holds a box in column j."""
+    return 1 <= row <= shape.n and shape.alpha[row - 1] < j <= shape.beta[row - 1]
+
+
+def touches_box(shape: SkewShape, p: Node) -> bool:
+    """True when p is a corner of some box of the diagram, that is when
+    row p.i or row p.i + 1 is nonempty and spans column p.j."""
+    i, j = p
+    for row in (i, i + 1):
+        if 1 <= row <= shape.n:
+            lo = shape.alpha[row - 1]
+            hi = shape.beta[row - 1]
+            if lo < hi and lo <= j <= hi:
+                return True
+    return False
+
+
+def line_points(shape: SkewShape, t: int) -> tuple[Node, Node]:
+    """Designated left and right points (t, alpha_{t+1}) and (t, beta_t)
+    of horizontal line t, read with the boundary conventions
+    alpha_{n+1} = alpha_n and beta_0 = beta_1."""
+    return Node(t, shape.alpha_part(t + 1)), Node(t, shape.beta_part(t))
+
+
+def endpoints(
+    shape: SkewShape,
+    sel: IndexSelection,
+    flavor: str,
+    line_extreme: bool = False,
+) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
+    """Sources and sinks of the given flavor's lattice, row ordered.
+
+    L runs from the left points of the lines in A to the right points of
+    the lines in B; R runs from the right points of the lines outside B to
+    the left points of the lines outside A.
+
+    With line_extreme, each point becomes the matching extreme node of its
+    line instead.  This is the literal endpoint rule; for partition pairs
+    it coincides with the explicit points whenever those land on the line
+    at all.  Composition pairs need this form for the connector bijection,
+    since their explicit points can sit strictly inside a line.  Lines
+    without nodes keep the explicit points.
+    """
+
+    def point(t: int, left: bool) -> Node:
+        if line_extreme:
+            runs = line_runs(shape, t)
+            if runs:
+                return Node(t, runs[0][0] if left else runs[-1][1])
+        return line_points(shape, t)[0 if left else 1]
+
+    if flavor == "L":
+        return (
+            tuple(point(a, True) for a in sel.a_set),
+            tuple(point(b, False) for b in sel.b_set),
+        )
+    return (
+        tuple(point(b, False) for b in sel.b_comp),
+        tuple(point(a, True) for a in sel.a_comp),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Immutable weighted DAG with row-ordered sources and sinks."""
 
     flavor: str  # "L" or "R"
     shape: SkewShape
-    nodes: frozenset[Node]
-    edges: tuple[Edge, ...]
-    sources: tuple[Node, ...]
-    sinks: tuple[Node, ...]
-    isolated_nodes: tuple[Node, ...]
-    adjacency: dict[Node, tuple[tuple[Node, Polynomial], ...]] = field(repr=False)
-    edge_map: dict[Node, dict[Node, Polynomial]] = field(repr=False)
+    sources: tuple[Node, ...] = ()
+    sinks: tuple[Node, ...] = ()
 
     def successors(self, u: Node) -> tuple[tuple[Node, Polynomial], ...]:
-        return self.adjacency.get(u, ())
+        """Out-steps of u with their weights, in the deterministic step
+        order: L rightward before downward, R leftward before diagonally."""
+        steps = self._steps.get(u)
+        if steps is None:
+            steps = self._steps[u] = self._read_steps(u)
+        return steps
+
+    @cached_property
+    def _steps(self) -> dict[Node, tuple[tuple[Node, Polynomial], ...]]:
+        # successors read so far; path walks revisit the same nodes often
+        return {}
+
+    def _read_steps(self, u: Node) -> tuple[tuple[Node, Polynomial], ...]:
+        i, j = u
+        shape = self.shape
+        out = []
+        # a horizontal step runs along the bottom of a row-i box or the top
+        # of a row-(i+1) box; the weighted step crosses a row-(i+1) box
+        if self.flavor == "L":
+            if _row_has_box(shape, i, j + 1) or _row_has_box(shape, i + 1, j + 1):
+                out.append((Node(i, j + 1), _ONE))
+            if _row_has_box(shape, i + 1, j):
+                out.append((Node(i + 1, j), Polynomial.variable(j)))
+        else:
+            if _row_has_box(shape, i, j) or _row_has_box(shape, i + 1, j):
+                out.append((Node(i, j - 1), _ONE))
+            if _row_has_box(shape, i + 1, j):
+                out.append((Node(i + 1, j - 1), Polynomial.variable(j)))
+        return tuple(out)
 
     def edge_weight(self, u: Node, v: Node) -> Polynomial | None:
         """Weight of the edge u -> v, or None when absent."""
-        row = self.edge_map.get(u)
-        if row is None:
-            return None
-        return row.get(v)
+        for w, weight in self.successors(u):
+            if w == v:
+                return weight
+        return None
+
+    @cached_property
+    def isolated_nodes(self) -> tuple[Node, ...]:
+        """Designated endpoints that touch no box.  They are adjoined as
+        isolated nodes; a source stranded this way simply contributes
+        zero paths."""
+        pts = (*self.sources, *self.sinks)
+        return tuple(sorted(set(p for p in pts if not touches_box(self.shape, p))))
+
+    @cached_property
+    def nodes(self) -> frozenset[Node]:
+        """Box corners, plus the isolated endpoints."""
+        corners = set(self.isolated_nodes)
+        shape = self.shape
+        for i in range(1, shape.n + 1):
+            lo, hi = shape.alpha[i - 1], shape.beta[i - 1]
+            if lo < hi:
+                for j in range(lo, hi + 1):
+                    corners.add(Node(i - 1, j))
+                    corners.add(Node(i, j))
+        return frozenset(corners)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge, ordered by (src, dst)."""
+        descent = VERTICAL if self.flavor == "L" else DIAGONAL
+        return tuple(
+            Edge(u, v, HORIZONTAL if v.i == u.i else descent, w)
+            for u in sorted(self.nodes)
+            for v, w in self.successors(u)
+        )
 
     def edge_count(self, kind: str) -> int:
         return sum(1 for e in self.edges if e.kind == kind)
 
 
-def _corner_nodes(shape: SkewShape) -> set[Node]:
-    nodes: set[Node] = set()
-    for i in range(1, shape.n + 1):
-        lo, hi = shape.alpha[i - 1], shape.beta[i - 1]
-        if lo >= hi:
-            continue
-        for j in range(lo, hi + 1):
-            nodes.add(Node(i - 1, j))
-            nodes.add(Node(i, j))
-    return nodes
-
-
-def _finish(
-    flavor: str,
-    shape: SkewShape,
-    edge_dict: dict[tuple[Node, Node], Edge],
-    sources: tuple[Node, ...],
-    sinks: tuple[Node, ...],
-    nodes: set[Node],
-) -> Lattice:
-    # designated endpoints that touch no box become isolated nodes;
-    # a source stranded this way simply contributes zero paths
-    isolated = tuple(
-        sorted(set(p for p in (*sources, *sinks) if p not in nodes))
-    )
-    nodes.update(isolated)
-    adjacency: dict[Node, list[tuple[Node, Polynomial]]] = {}
-    edge_map: dict[Node, dict[Node, Polynomial]] = {}
-    for (u, v), e in edge_dict.items():
-        adjacency.setdefault(u, []).append((v, e.weight))
-        edge_map.setdefault(u, {})[v] = e.weight
-    # destination order doubles as the deterministic step order:
-    # L walks rightward before downward, R leftward before diagonally
-    # (node tuples compare first, and no two edges share src and dst)
-    ordered = {}
-    for u, lst in adjacency.items():
-        lst.sort()
-        ordered[u] = tuple(lst)
-    edges = tuple(e for _, e in sorted(edge_dict.items()))
-    return Lattice(
-        flavor=flavor,
-        shape=shape,
-        nodes=frozenset(nodes),
-        edges=edges,
-        sources=sources,
-        sinks=sinks,
-        isolated_nodes=isolated,
-        adjacency=ordered,
-        edge_map=edge_map,
-    )
-
-
 def build_L(shape: SkewShape, sel: IndexSelection | None = None) -> Lattice:
     """Left lattice; sources sit at (a, alpha_{a+1}) for a in A and sinks
-    at (b, beta_b) for b in B, rows read with the boundary conventions
-    alpha_{n+1} = alpha_n and beta_0 = beta_1."""
-    nodes = _corner_nodes(shape)
-    one = Polynomial.one()
-    edge_dict: dict[tuple[Node, Node], Edge] = {}
-    for i, j in shape.boxes():
-        w = Polynomial.variable(j)
-        top = (Node(i - 1, j - 1), Node(i - 1, j))
-        bot = (Node(i, j - 1), Node(i, j))
-        right = (Node(i - 1, j), Node(i, j))
-        edge_dict[top] = Edge(*top, HORIZONTAL, one)
-        edge_dict[bot] = Edge(*bot, HORIZONTAL, one)
-        edge_dict[right] = Edge(*right, VERTICAL, w)
+    at (b, beta_b) for b in B (see ``endpoints``)."""
     if sel is None:
-        sources: tuple[Node, ...] = ()
-        sinks: tuple[Node, ...] = ()
-    else:
-        sources = tuple(Node(a, shape.alpha_part(a + 1)) for a in sel.a_set)
-        sinks = tuple(Node(b, shape.beta_part(b)) for b in sel.b_set)
-    return _finish("L", shape, edge_dict, sources, sinks, nodes)
+        return Lattice("L", shape)
+    return Lattice("L", shape, *endpoints(shape, sel, "L"))
 
 
 def build_R(shape: SkewShape, sel: IndexSelection | None = None) -> Lattice:
     """Right lattice; sources sit at (b', beta_{b'}) for b' outside B and
-    sinks at (a', alpha_{a'+1}) for a' outside A, with the same boundary
-    conventions as the left lattice."""
-    nodes = _corner_nodes(shape)
-    one = Polynomial.one()
-    edge_dict: dict[tuple[Node, Node], Edge] = {}
-    for i, j in shape.boxes():
-        w = Polynomial.variable(j)
-        top = (Node(i - 1, j), Node(i - 1, j - 1))
-        bot = (Node(i, j), Node(i, j - 1))
-        diag = (Node(i - 1, j), Node(i, j - 1))
-        edge_dict[top] = Edge(*top, HORIZONTAL, one)
-        edge_dict[bot] = Edge(*bot, HORIZONTAL, one)
-        edge_dict[diag] = Edge(*diag, DIAGONAL, w)
+    sinks at (a', alpha_{a'+1}) for a' outside A (see ``endpoints``)."""
     if sel is None:
-        sources: tuple[Node, ...] = ()
-        sinks: tuple[Node, ...] = ()
-    else:
-        sources = tuple(Node(b, shape.beta_part(b)) for b in sel.b_comp)
-        sinks = tuple(Node(a, shape.alpha_part(a + 1)) for a in sel.a_comp)
-    return _finish("R", shape, edge_dict, sources, sinks, nodes)
+        return Lattice("R", shape)
+    return Lattice("R", shape, *endpoints(shape, sel, "R"))
 
 
 def with_selection(base: Lattice, sel: IndexSelection) -> Lattice:
-    """Re-designate sources and sinks on a lattice built with sel=None.
+    """The lattice of base's flavor and shape with sel's endpoints.
 
-    Edges and adjacency are shared; only the endpoint bookkeeping changes.
     Useful in sweeps, where one shape serves many selections.
     """
-    shape = base.shape
-    if base.flavor == "L":
-        sources = tuple(Node(a, shape.alpha_part(a + 1)) for a in sel.a_set)
-        sinks = tuple(Node(b, shape.beta_part(b)) for b in sel.b_set)
-    else:
-        sources = tuple(Node(b, shape.beta_part(b)) for b in sel.b_comp)
-        sinks = tuple(Node(a, shape.alpha_part(a + 1)) for a in sel.a_comp)
-    isolated = tuple(
-        sorted(set(p for p in (*sources, *sinks) if p not in base.nodes))
-    )
-    return _dc_replace(
-        base,
-        sources=sources,
-        sinks=sinks,
-        isolated_nodes=isolated,
-        nodes=base.nodes | frozenset(isolated),
-    )
-
-
-def _line_extreme(shape: SkewShape, t: int, want_left: bool, fallback: Node) -> Node:
-    from .shape import line_runs
-
-    runs = line_runs(shape, t)
-    if not runs:
-        return fallback
-    return Node(t, runs[0][0]) if want_left else Node(t, runs[-1][1])
+    return Lattice(base.flavor, base.shape, *endpoints(base.shape, sel, base.flavor))
 
 
 def with_line_extreme_endpoints(base: Lattice, sel: IndexSelection) -> Lattice:
-    """Designate endpoints as the extreme nodes of each horizontal line.
-
-    This is the literal endpoint rule; for partition pairs it coincides
-    with the explicit coordinate formulas whenever those land on the line
-    at all.  Composition pairs need this form for the connector bijection,
-    since their explicit coordinates can sit strictly inside a line.
-    Lines without nodes fall back to the explicit coordinates.
-    """
-    shape = base.shape
-    if base.flavor == "L":
-        sources = tuple(
-            _line_extreme(shape, a, True, Node(a, shape.alpha_part(a + 1)))
-            for a in sel.a_set
-        )
-        sinks = tuple(
-            _line_extreme(shape, b, False, Node(b, shape.beta_part(b)))
-            for b in sel.b_set
-        )
-    else:
-        sources = tuple(
-            _line_extreme(shape, b, False, Node(b, shape.beta_part(b)))
-            for b in sel.b_comp
-        )
-        sinks = tuple(
-            _line_extreme(shape, a, True, Node(a, shape.alpha_part(a + 1)))
-            for a in sel.a_comp
-        )
-    isolated = tuple(
-        sorted(set(p for p in (*sources, *sinks) if p not in base.nodes))
-    )
-    return _dc_replace(
-        base,
-        sources=sources,
-        sinks=sinks,
-        isolated_nodes=isolated,
-        nodes=base.nodes | frozenset(isolated),
+    """Like ``with_selection``, with each endpoint moved to the extreme node
+    of its horizontal line (``endpoints`` with line_extreme)."""
+    return Lattice(
+        base.flavor,
+        base.shape,
+        *endpoints(base.shape, sel, base.flavor, line_extreme=True),
     )
 
 

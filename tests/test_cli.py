@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from skewlgv import connectors, identity
 from skewlgv.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -156,6 +159,61 @@ def test_enumerate_cap_via_env(capsys, monkeypatch):
     assert "cap" in err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work done before the tuple cap was checked")
+
+
+@pytest.mark.parametrize("command", [["verify", "--brute"], ["enumerate", "--flavor", "L"]])
+def test_tuple_cap_checked_before_any_work(capsys, monkeypatch, command):
+    # C(23, 11) paths cross the 12 x 12 square (column 0 has no descent);
+    # none may be built, and no determinant computed, before the cap
+    # refuses them
+    monkeypatch.setenv("SKEWLGV_MAX_TUPLES", "1000")
+    monkeypatch.setattr(connectors, "enumerate_paths", _refuse)
+    monkeypatch.setattr(connectors, "Path", _refuse)
+    monkeypatch.setattr(identity, "det", _refuse)
+    square = ["--n", "12", "--alpha", ",".join(["0"] * 12), "--beta", ",".join(["12"] * 12)]
+    code, out, err = run(capsys, [command[0], *square, "--A", "0", "--B", "12", *command[1:]])
+    assert code == 3
+    assert out == ""
+    assert err == "enumeration cap exceeded: 1352078 path tuples exceed the cap of 1000\n"
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "many"])
+def test_tuple_cap_env_must_be_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv("SKEWLGV_MAX_TUPLES", raw)
+    code, out, err = run(capsys, ["enumerate", *FOUR_ROW, "--flavor", "L", "--disjoint"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: SKEWLGV_MAX_TUPLES must be a positive integer, got {raw!r}\n"
+
+
+def test_verify_json_golden(capsys):
+    argv = ["verify", "--n", "2", "--alpha", "2,0", "--beta", "2,2", "--A", "0", "--B", "1"]
+    code, out, _ = run(capsys, [*argv, "--brute", "--json"])
+    assert code == 0
+    assert out == (DATA / "verify_isolated.json").read_text()
+
+
+SPECIAL_CASES = {
+    "binomial": ["--n", "5", "--A", "0,2,3", "--B", "1,3,5"],
+    "qbinomial": ["--n", "4", "--A", "0,2", "--B", "1,3"],
+    "sympoly": ["--n", "3", "--A", "0,1", "--B", "1,3"],
+    "aitken": ["--m", "3", "--n", "3", "--A", "0,1", "--B", "1,3"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPECIAL_CASES))
+def test_special_outputs_match_goldens(capsys, kind):
+    argv = ["special", kind, *SPECIAL_CASES[kind]]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (DATA / f"special_{kind}.txt").read_text()
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert code == 0
+    assert out == (DATA / f"special_{kind}.json").read_text()
+
+
 def test_special_binomial(capsys):
     code, out, _ = run(
         capsys, ["special", "binomial", "--n", "2", "--A", "0,1", "--B", "0,1", "--json"]
@@ -217,6 +275,26 @@ def test_sweep_counts_and_stream(capsys, tmp_path):
     assert target["hypothesis_ok"] is True
     assert target["equal"] is True
     assert target["det_h"] == "x1*x2*x3"
+
+
+def test_sweep_jsonl_open_failure_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "cases.jsonl"
+    code, out, err = run(
+        capsys, ["sweep", "--max-n", "1", "--max-part", "1", "--jsonl", str(target)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_sweep_jsonl_write_failure_is_input_error(capsys):
+    code, out, err = run(
+        capsys, ["sweep", "--max-n", "1", "--max-part", "1", "--jsonl", "/dev/full"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_sweep_hypothesis_only(capsys):

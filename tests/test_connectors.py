@@ -148,6 +148,22 @@ def test_enumeration_cap():
         enumerate_connectors(lat, cap=10)
 
 
+def test_tuple_count_matches_enumerated_path_lists():
+    # the counting pass agrees with the enumerator it guards, on every
+    # endpoint pair of both lattices, isolated and coinciding ones included
+    for n in range(1, 4):
+        sels = list(selections(n))
+        for shape in skew_shapes(n, 2):
+            base_l = build_L(shape, None)
+            base_r = build_R(shape, None)
+            for sel in sels:
+                for lat in (with_selection(base_l, sel), with_selection(base_r, sel)):
+                    expected = 1
+                    for s, t in zip(lat.sources, lat.sinks):
+                        expected *= len(enumerate_paths(lat, s, t))
+                    assert tuple_count(lat) == expected
+
+
 def test_connector_sum_of_probe_shape_red_side():
     shape = make_skew([2, 0, 0], [3, 3, 1])
     sel = IndexSelection.make(3, [0, 1, 2], [1, 2, 3])

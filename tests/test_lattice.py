@@ -1,14 +1,24 @@
 from pathlib import Path
 
+from skewlgv.identity import isolated_endpoints
 from skewlgv.lattice import (
     Node,
     build_L,
     build_R,
+    endpoints,
     render,
     topological_potential,
     with_selection,
 )
-from skewlgv.shape import IndexSelection, make_skew, rectangle, skew_shapes
+from skewlgv.poly import Polynomial
+from skewlgv.shape import (
+    IndexSelection,
+    line_runs,
+    make_skew,
+    rectangle,
+    selections,
+    skew_shapes,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,3 +141,44 @@ def test_render_marks_coinciding_source_sink():
     sel = IndexSelection.make(2, [2], [2])
     out = render(build_L(shape, sel))
     assert "*" in out
+
+
+def test_successors_and_edge_weight_agree_with_edges():
+    # the implicit graph answers point queries exactly as its edge view
+    # lists it; free steps share the one instance the walkers skip by
+    for n in range(1, 4):
+        for shape in skew_shapes(n, 3):
+            for lat in (build_L(shape, None), build_R(shape, None)):
+                for e in lat.edges:
+                    assert lat.edge_weight(e.src, e.dst) is e.weight
+                    if e.kind == "horizontal":
+                        assert e.weight is Polynomial.one()
+                listed = {(e.src, e.dst) for e in lat.edges}
+                for u in lat.nodes:
+                    for di, dj in ((0, 1), (1, 0), (0, -1), (1, -1)):
+                        v = Node(u.i + di, u.j + dj)
+                        if (u, v) not in listed:
+                            assert lat.edge_weight(u, v) is None
+
+
+def test_endpoint_rule_single_source():
+    # partition pairs: the literal line-extreme rule agrees with the
+    # explicit points wherever those lie on a run of their line, and the
+    # reported isolated points are the full selection's isolated nodes
+    compared = 0
+    for n in range(1, 4):
+        sels = list(selections(n))
+        full = IndexSelection.make(n, range(n + 1), range(n + 1))
+        for shape in skew_shapes(n, 3):
+            assert isolated_endpoints(shape) == build_L(shape, full).isolated_nodes
+            runs = [line_runs(shape, t) for t in range(n + 1)]
+            for sel in sels:
+                for flavor in ("L", "R"):
+                    explicit = endpoints(shape, sel, flavor)
+                    extreme = endpoints(shape, sel, flavor, line_extreme=True)
+                    for side, side_x in zip(explicit, extreme):
+                        for p, q in zip(side, side_x):
+                            if any(lo <= p.j <= hi for lo, hi in runs[p.i]):
+                                assert q == p
+                                compared += 1
+    assert compared > 10_000
