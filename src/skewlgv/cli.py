@@ -23,7 +23,7 @@ from . import connectors as conn
 from . import identity
 from .connectors import ComplementError, DEFAULT_TUPLE_CAP, EnumerationCapError
 from .lattice import build_L, build_R, render
-from .shape import IndexSelection, ShapeError, SkewShape, make_skew
+from .shape import IndexSelection, ShapeError, SkewShape, is_row_connected, make_skew
 from .poly import Polynomial
 
 SCHEMA_VERSION = 1
@@ -60,16 +60,16 @@ def _tuple_cap() -> int:
     return cap
 
 
-def _problem(args: argparse.Namespace) -> tuple[SkewShape, IndexSelection]:
-    alpha = args.alpha
-    beta = args.beta
-    if args.n != len(alpha) or args.n != len(beta):
+def _shape(args: argparse.Namespace) -> SkewShape:
+    if args.n != len(args.alpha) or args.n != len(args.beta):
         raise ShapeError(
-            f"--n {args.n} does not match part counts {len(alpha)}/{len(beta)}"
+            f"--n {args.n} does not match part counts {len(args.alpha)}/{len(args.beta)}"
         )
-    shape = make_skew(alpha, beta)
-    sel = IndexSelection.make(args.n, args.A, args.B)
-    return shape, sel
+    return make_skew(args.alpha, args.beta)
+
+
+def _problem(args: argparse.Namespace) -> tuple[SkewShape, IndexSelection]:
+    return _shape(args), IndexSelection.make(args.n, args.A, args.B)
 
 
 # report fields renamed in JSON output, and fields left out of it
@@ -161,6 +161,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cap = _tuple_cap()
     if args.complement and args.flavor != "L":
         raise ShapeError("--complement requires --flavor L")
+    if args.complement and not is_row_connected(shape):
+        # checked up front: on such a shape the walk strands short of its
+        # sink after some connectors have been printed
+        raise ShapeError(
+            f"complementary walk failed: shape alpha={list(shape.alpha)} "
+            f"beta={list(shape.beta)} is not row-connected"
+        )
     l_lat = build_L(shape, sel)
     r_lat = build_R(shape, sel)
     lat = l_lat if args.flavor == "L" else r_lat
@@ -275,13 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_draw(args: argparse.Namespace) -> int:
-    alpha = args.alpha
-    beta = args.beta
-    if args.n != len(alpha) or args.n != len(beta):
-        raise ShapeError(
-            f"--n {args.n} does not match part counts {len(alpha)}/{len(beta)}"
-        )
-    shape = make_skew(alpha, beta)
+    shape = _shape(args)
     sel = None
     if args.A is not None or args.B is not None:
         sel = IndexSelection.make(args.n, args.A or [], args.B or [])
@@ -340,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_draw = sub.add_parser("draw", help="render a lattice as monospace text")
-    p_draw.add_argument("--n", type=int, required=True)
-    p_draw.add_argument("--alpha", type=_int_list, required=True)
-    p_draw.add_argument("--beta", type=_int_list, required=True)
-    p_draw.add_argument("--A", type=_int_list, default=None)
-    p_draw.add_argument("--B", type=_int_list, default=None)
+    _add_problem_args(p_draw, selection_required=False)
     p_draw.add_argument("--flavor", choices=("L", "R"), required=True)
     p_draw.set_defaults(func=cmd_draw)
 

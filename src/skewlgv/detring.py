@@ -1,16 +1,18 @@
 """Division-free determinants over the polynomial ring, plus exact
 integer-matrix utilities (determinant, adjugate, complementary-minor check).
 
-The polynomial determinant expands along rows with memoisation keyed by the
-set of surviving columns, which costs O(2^n * n) ring multiplications --
-far below the n! of the Leibniz sum kept here as an independent oracle.
+Matrices are tabulated from an entry function over row and column labels.
+The polynomial and the integer determinant share one row expansion,
+memoised on the set of surviving columns, which costs O(2^n * n) ring
+multiplications -- far below the n! of the Leibniz sum kept here as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .poly import Polynomial
 
@@ -69,6 +71,18 @@ class PolyMatrix:
             col_labels=tuple(col_labels) if col_labels is not None else tuple(range(c)),
         )
 
+    @classmethod
+    def tabulate(
+        cls,
+        f: Callable[[int, int], Polynomial],
+        row_labels: Iterable[int],
+        col_labels: Iterable[int],
+    ) -> "PolyMatrix":
+        """The matrix whose entry in row label a, column label b is f(a, b)."""
+        rl = tuple(row_labels)
+        cl = tuple(col_labels)
+        return cls(len(rl), len(cl), tuple(f(a, b) for a in rl for b in cl), rl, cl)
+
     def entry(self, r: int, c: int) -> Polynomial:
         return self.entries[r * self.cols + c]
 
@@ -79,23 +93,19 @@ class PolyMatrix:
         return self.rows == self.cols
 
 
-def det(m: PolyMatrix) -> Polynomial:
-    """Exact determinant; the empty 0x0 matrix has determinant 1."""
-    if not m.is_square():
-        raise NonSquareMatrixError(f"matrix is {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Polynomial.one()
-    entries = m.entries
-    memo: dict[int, Polynomial] = {}
+def _expand(entries: Sequence, n: int, one, zero):
+    """Determinant of the row-major n x n entry list by row expansion,
+    memoised on the set of surviving columns.  Works over any ring whose
+    zero is falsy; zero entries are skipped."""
+    memo: dict = {}
 
-    def expand(mask: int, row: int) -> Polynomial:
+    def expand(mask: int, row: int):
         if mask == 0:
-            return Polynomial.one()
+            return one
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        acc = Polynomial.zero()
+        acc = zero
         sign = 1
         base = row * n
         rest = mask
@@ -104,8 +114,7 @@ def det(m: PolyMatrix) -> Polynomial:
             j = low.bit_length() - 1
             e = entries[base + j]
             if e:
-                sub = expand(mask ^ low, row + 1)
-                term = e * sub
+                term = e * expand(mask ^ low, row + 1)
                 acc = acc + (-term if sign < 0 else term)
             sign = -sign
             rest ^= low
@@ -113,6 +122,13 @@ def det(m: PolyMatrix) -> Polynomial:
         return acc
 
     return expand((1 << n) - 1, 0)
+
+
+def det(m: PolyMatrix) -> Polynomial:
+    """Exact determinant; the empty 0x0 matrix has determinant 1."""
+    if not m.is_square():
+        raise NonSquareMatrixError(f"matrix is {m.rows}x{m.cols}")
+    return _expand(m.entries, m.rows, Polynomial.one(), Polynomial.zero())
 
 
 def det_naive(m: PolyMatrix) -> Polynomial:
@@ -162,12 +178,11 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def identity_matrix(n: int) -> PolyMatrix:
-    entries = tuple(
-        Polynomial.one() if r == c else Polynomial.zero()
-        for r in range(n)
-        for c in range(n)
+    return PolyMatrix.tabulate(
+        lambda r, c: Polynomial.one() if r == c else Polynomial.zero(),
+        range(n),
+        range(n),
     )
-    return PolyMatrix(n, n, entries, tuple(range(n)), tuple(range(n)))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -175,29 +190,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquareMatrixError("integer matrix is not square")
-    memo: dict[int, int] = {}
-
-    def expand(mask: int, row: int) -> int:
-        if mask == 0:
-            return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc = 0
-        sign = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            e = rows[row][j]
-            if e:
-                acc += sign * e * expand(mask ^ low, row + 1)
-            sign = -sign
-            rest ^= low
-        memo[mask] = acc
-        return acc
-
-    return expand((1 << n) - 1, 0)
+    return _expand([x for r in rows for x in r], n, 1, 0)
 
 
 def int_submatrix(

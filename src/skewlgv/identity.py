@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from . import connectors as conn
@@ -57,17 +58,11 @@ def entry_e(shape: SkewShape, a_p: int, b_p: int) -> Polynomial:
 
 
 def build_h_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
-    entries = tuple(
-        entry_h(shape, a, b) for a in sel.a_set for b in sel.b_set
-    )
-    return PolyMatrix(sel.l, sel.l, entries, sel.a_set, sel.b_set)
+    return PolyMatrix.tabulate(partial(entry_h, shape), sel.a_set, sel.b_set)
 
 
 def build_e_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
-    entries = tuple(
-        entry_e(shape, a_p, b_p) for a_p in sel.a_comp for b_p in sel.b_comp
-    )
-    return PolyMatrix(sel.r, sel.r, entries, sel.a_comp, sel.b_comp)
+    return PolyMatrix.tabulate(partial(entry_e, shape), sel.a_comp, sel.b_comp)
 
 
 def isolated_endpoints(shape: SkewShape) -> tuple[Node, ...]:
@@ -153,26 +148,20 @@ class QBinomialReport:
 
 
 def qbinom_lhs_matrix(n: int, sel: IndexSelection) -> PolyMatrix:
-    entries = tuple(qbinom(b, a) for a in sel.a_set for b in sel.b_set)
-    return PolyMatrix(sel.l, sel.l, entries, sel.a_set, sel.b_set)
+    return PolyMatrix.tabulate(lambda a, b: qbinom(b, a), sel.a_set, sel.b_set)
+
+
+def _qbinom_rhs_entry(a_p: int, b_p: int) -> Polynomial:
+    # the Gaussian coefficient vanishes for a' < b', so the exponent is
+    # only ever formed for a' >= b'
+    if a_p < b_p:
+        return Polynomial.zero()
+    return Polynomial.q() ** math.comb(a_p - b_p, 2) * qbinom(a_p, b_p)
 
 
 def qbinom_rhs_matrix(n: int, sel: IndexSelection) -> PolyMatrix:
-    """Complement-side matrix with entries q^C(a'-b',2) * qbinom(a', b').
-
-    Entries with a' < b' vanish because the Gaussian coefficient does, so
-    the exponent is only ever formed for a' >= b'.
-    """
-    entries = []
-    for a_p in sel.a_comp:
-        for b_p in sel.b_comp:
-            if a_p < b_p:
-                entries.append(Polynomial.zero())
-            else:
-                k = a_p - b_p
-                shift = Polynomial.q() ** math.comb(k, 2)
-                entries.append(shift * qbinom(a_p, b_p))
-    return PolyMatrix(sel.r, sel.r, tuple(entries), sel.a_comp, sel.b_comp)
+    """Complement-side matrix with entries q^C(a'-b',2) * qbinom(a', b')."""
+    return PolyMatrix.tabulate(_qbinom_rhs_entry, sel.a_comp, sel.b_comp)
 
 
 def verify_qbinomial(n: int, sel: IndexSelection) -> QBinomialReport:
@@ -215,16 +204,12 @@ class SympolyReport:
 def verify_sympoly_binomial(n: int, sel: IndexSelection) -> SympolyReport:
     """Initial-segment symmetric polynomial duality, checked directly and
     re-derived from the staircase shape by relabelling x_i -> x_{n+1-i}."""
-    h_entries = tuple(
-        h_poly(b - a, VarRange(1, a + 1)) for a in sel.a_set for b in sel.b_set
-    )
-    e_entries = tuple(
-        e_poly(a_p - b_p, VarRange(1, a_p))
-        for a_p in sel.a_comp
-        for b_p in sel.b_comp
-    )
-    dh = det(PolyMatrix(sel.l, sel.l, h_entries, sel.a_set, sel.b_set))
-    de = det(PolyMatrix(sel.r, sel.r, e_entries, sel.a_comp, sel.b_comp))
+    dh = det(PolyMatrix.tabulate(
+        lambda a, b: h_poly(b - a, VarRange(1, a + 1)), sel.a_set, sel.b_set
+    ))
+    de = det(PolyMatrix.tabulate(
+        lambda a_p, b_p: e_poly(a_p - b_p, VarRange(1, a_p)), sel.a_comp, sel.b_comp
+    ))
     rep = verify_main(staircase(n), sel)
     relabel = {i: Polynomial.variable(n + 1 - i) for i in range(1, n + 1)}
     dh_stair = rep.det_h.substitute(relabel)
@@ -273,30 +258,21 @@ def verify_aitken(m: int, n: int, sel: IndexSelection) -> AitkenReport:
 
 
 def build_full_H(shape: SkewShape) -> PolyMatrix:
-    n = shape.n
-    entries = tuple(
-        entry_h(shape, i, j) for i in range(n + 1) for j in range(n + 1)
-    )
-    return PolyMatrix(n + 1, n + 1, entries, tuple(range(n + 1)), tuple(range(n + 1)))
+    full = range(shape.n + 1)
+    return PolyMatrix.tabulate(partial(entry_h, shape), full, full)
 
 
 def build_full_E(shape: SkewShape) -> PolyMatrix:
-    """Signed elementary-side square matrix; over a rectangle it is the
-    two-sided inverse of the full H matrix, but not in general."""
-    n = shape.n
-    entries = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            d = j - i
-            if d < 0:
-                entries.append(Polynomial.zero())
-                continue
-            if d == 0:
-                entries.append(Polynomial.one())
-                continue
-            p = e_poly(d, VarRange(shape.alpha_part(j) + 1, shape.beta_part(i + 1)))
-            entries.append(-p if (i + j) % 2 else p)
-    return PolyMatrix(n + 1, n + 1, tuple(entries), tuple(range(n + 1)), tuple(range(n + 1)))
+    """Signed transpose of the e-side entries, (-1)^(i+j) * entry_e(j, i);
+    over a rectangle it is the two-sided inverse of the full H matrix, but
+    not in general."""
+
+    def signed(i: int, j: int) -> Polynomial:
+        p = entry_e(shape, j, i)
+        return -p if (i + j) % 2 else p
+
+    full = range(shape.n + 1)
+    return PolyMatrix.tabulate(signed, full, full)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class ShapeError(ValueError):
@@ -127,6 +127,8 @@ class IndexSelection:
     b_comp: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ShapeError(f"n must be nonnegative, got {self.n}")
         full = range(self.n + 1)
         for name, s in (("A", self.a_set), ("B", self.b_set)):
             if any(x < 0 or x > self.n for x in s):
@@ -270,25 +272,21 @@ def rectangle(m: int, n: int) -> SkewShape:
 def partitions_with(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing length-n tuples with parts in 0..max_part,
     in descending lexicographic order."""
+    yield from itertools.combinations_with_replacement(range(max_part, -1, -1), n)
 
-    def rec(k: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            yield ()
-            return
-        for p in range(bound, -1, -1):
-            for rest in rec(k - 1, p):
-                yield (p,) + rest
 
-    yield from rec(n, max_part)
+def _dominated_pairs(tuples: Iterable[tuple[int, ...]]) -> Iterator[SkewShape]:
+    """Every pair alpha <= beta (pointwise) of the given tuples, beta-major."""
+    all_tuples = list(tuples)
+    for beta in all_tuples:
+        for alpha in all_tuples:
+            if all(a <= b for a, b in zip(alpha, beta)):
+                yield SkewShape.from_compositions(alpha, beta)
 
 
 def skew_shapes(n: int, max_part: int) -> Iterator[SkewShape]:
     """All skew shapes with n rows and parts bounded by max_part."""
-    all_parts = list(partitions_with(n, max_part))
-    for beta in all_parts:
-        for alpha in all_parts:
-            if all(a <= b for a, b in zip(alpha, beta)):
-                yield SkewShape.from_compositions(alpha, beta)
+    yield from _dominated_pairs(partitions_with(n, max_part))
 
 
 def selections(n: int) -> Iterator[IndexSelection]:
@@ -307,8 +305,4 @@ def compositions_with(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 def composition_shapes(n: int, max_part: int) -> Iterator[SkewShape]:
     """All pointwise-dominated composition pairs, partitions included."""
-    all_comps = list(compositions_with(n, max_part))
-    for beta in all_comps:
-        for alpha in all_comps:
-            if all(a <= b for a, b in zip(alpha, beta)):
-                yield SkewShape.from_compositions(alpha, beta)
+    yield from _dominated_pairs(compositions_with(n, max_part))

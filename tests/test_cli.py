@@ -152,6 +152,20 @@ def test_enumerate_complement_on_gapped_shape_exits_cleanly(capsys):
     assert "complementary walk failed" in err
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ["--n", "2", "--alpha", "4,3", "--beta", "4,3", "--A", "", "--B", ""],
+        ["--n", "2", "--alpha", "3,0", "--beta", "4,2", "--A", "0,1", "--B", "0,2", "--disjoint"],
+    ],
+)
+def test_enumerate_complement_refuses_gapped_shape_up_front(capsys, problem):
+    code, out, err = run(capsys, ["enumerate", *problem, "--flavor", "L", "--complement"])
+    assert code == 2
+    assert out == ""
+    assert "not row-connected" in err
+
+
 def test_enumerate_cap_via_env(capsys, monkeypatch):
     monkeypatch.setenv("SKEWLGV_MAX_TUPLES", "1")
     code, _, err = run(capsys, ["enumerate", *FOUR_ROW, "--flavor", "L", "--disjoint"])
@@ -231,6 +245,16 @@ def test_special_qbinomial(capsys):
     payload = json.loads(out)
     assert payload["equal"] is True
     assert payload["det_lhs"] == payload["det_rhs"]
+
+
+def test_special_rejects_negative_n(capsys):
+    code, out, err = run(capsys, ["special", "qbinomial", "--n", "-1", "--A", "", "--B", ""])
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+    code, out, _ = run(capsys, ["special", "binomial", "--n", "0", "--A", "0", "--B", "0"])
+    assert code == 0
+    assert "equal: yes" in out
 
 
 def test_special_sympoly_and_aitken(capsys):

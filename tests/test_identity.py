@@ -1,6 +1,7 @@
 import math
+import random
 
-from skewlgv.detring import det, identity_matrix, int_det, matmul
+from skewlgv.detring import PolyMatrix, det, identity_matrix, int_det, matmul
 from skewlgv.identity import (
     build_e_matrix,
     build_full_E,
@@ -258,6 +259,54 @@ def test_full_matrices_staircase_regression():
     shape = staircase(2)
     prod = matmul(build_full_E(shape), build_full_H(shape))
     assert prod.entries == identity_matrix(3).entries
+
+
+# --- differential checks of the matrix assembly ----------------------------------
+
+
+def _grid():
+    """Every shape with n <= 3 and parts <= 3, with its full H and E."""
+    for n in range(1, 4):
+        for shape in skew_shapes(n, 3):
+            yield shape, build_full_H(shape), build_full_E(shape)
+
+
+def test_h_matrix_is_minor_of_full_H():
+    for shape, full_h, _ in _grid():
+        for sel in selections(shape.n):
+            minor = PolyMatrix.from_rows(
+                [[full_h.entry(a, b) for b in sel.b_set] for a in sel.a_set],
+                [full_h.row_labels[a] for a in sel.a_set],
+                [full_h.col_labels[b] for b in sel.b_set],
+            )
+            assert build_h_matrix(shape, sel) == minor
+
+
+def test_e_matrix_is_signed_transposed_minor_of_full_E():
+    for shape, _, full_e in _grid():
+        for sel in selections(shape.n):
+            e = build_e_matrix(shape, sel)
+            assert (e.row_labels, e.col_labels) == (sel.a_comp, sel.b_comp)
+            for r, a_p in enumerate(sel.a_comp):
+                for c, b_p in enumerate(sel.b_comp):
+                    expected = full_e.entry(b_p, a_p)
+                    if (a_p + b_p) % 2:
+                        expected = -expected
+                    assert e.entry(r, c) == expected
+
+
+def test_det_agrees_with_int_det_at_random_points():
+    # exact at the point; Schwartz 1980 and Zippel 1979 bound how likely a
+    # wrong polynomial determinant is to agree there.  det and int_det share
+    # one expansion, so this checks the polynomial arithmetic; the expansion
+    # itself is checked against the Leibniz oracles in test_detring.py
+    rng = random.Random(2024)
+    for shape, _, _ in _grid():
+        point = {v: rng.randint(-9, 9) for v in range(1, shape.max_col() + 1)}
+        for sel in selections(shape.n):
+            for m in (build_h_matrix(shape, sel), build_e_matrix(shape, sel)):
+                rows = [[x.evaluate(point) for x in m.row(r)] for r in range(m.rows)]
+                assert det(m).evaluate(point) == int_det(rows)
 
 
 # --- misc -----------------------------------------------------------------------
