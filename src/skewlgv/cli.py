@@ -172,9 +172,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     r_lat = build_R(shape, sel)
     lat = l_lat if args.flavor == "L" else r_lat
     items = conn.enumerate_connectors(lat, disjoint_only=args.disjoint, cap=cap)
+    disjoint = [c.is_disjoint() for c in items]
     total = Polynomial.zero()
-    for c in items:
-        if c.is_disjoint():
+    for c, ok in zip(items, disjoint):
+        if ok:
             total = total + c.weight
     if args.json:
         payload = {
@@ -187,14 +188,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.complement:
             payload["complements"] = [
                 _connector_dict(conn.complementary(c, l_lat, r_lat))
-                for c in items
-                if c.is_disjoint()
+                for c, ok in zip(items, disjoint)
+                if ok
             ]
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    for idx, c in enumerate(items, start=1):
+    for idx, (c, ok) in enumerate(zip(items, disjoint), start=1):
         _print_connector(idx, c)
-        if args.complement and c.is_disjoint():
+        if args.complement and ok:
             red = conn.complementary(c, l_lat, r_lat)
             print("  complementary:")
             _print_connector(idx, red, indent="  ")
@@ -231,6 +232,11 @@ def cmd_special(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.max_n < 1 or args.max_part < 0:
+        raise ShapeError(
+            "sweep needs --max-n >= 1 and --max-part >= 0, "
+            f"got --max-n {args.max_n} --max-part {args.max_part}"
+        )
     if args.max_n > SWEEP_MAX_N or args.max_part > SWEEP_MAX_PART:
         print(
             f"sweep guard: bounds limited to n <= {SWEEP_MAX_N}, parts <= {SWEEP_MAX_PART}",

@@ -1,18 +1,20 @@
-"""Path enumeration and the complementary-connector bijection.
+"""Path enumeration, the disjointness filter, and the complementary-connector
+bijection.
 
 A connector is a tuple of paths joining the i-th source to the i-th sink,
 "non-intersecting" meaning vertex-disjoint.  The brute-force enumerator
 walks the full Cartesian product of per-pair path lists and filters; it is
 deliberately naive because its whole job is to be an oracle that the
 determinants are checked against.  A configurable cap guards against
-combinatorial explosion; it is checked by counting paths before any path
-is built.
+combinatorial explosion; it is checked on the lattice's path counts before
+any path is built.
 
 The bijection sends a vertex-disjoint blue connector to the red connector
-obtained by walking from each red source, stepping horizontally except at
-nodes where the blue connector descends, where the red walk takes the
-box's diagonal instead (the two steps cross the same box, hence carry the
-same weight).  The inverse construction swaps the roles of the colors.
+obtained by walking from each red source, taking the free step except at
+nodes where the blue connector descends, where the red walk descends too
+(the two descents cross the same box, hence carry the same weight).  The
+inverse construction swaps the roles of the colors.  The step directions
+and the path counts belong to ``lattice``; this module only walks them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .lattice import Lattice, Node
 from .poly import Polynomial
@@ -50,6 +52,23 @@ class Path:
         return zip(self.nodes, self.nodes[1:])
 
 
+def _disjoint(paths: Iterable[Path]) -> bool:
+    used: set[Node] = set()
+    for p in paths:
+        nodes = p.node_set
+        if not used.isdisjoint(nodes):
+            return False
+        used |= nodes
+    return True
+
+
+def _weight(paths: Iterable[Path]) -> Polynomial:
+    weight = Polynomial.one()
+    for p in paths:
+        weight = weight * p.weight
+    return weight
+
+
 @dataclass(frozen=True)
 class Connector:
     paths: tuple[Path, ...]
@@ -64,35 +83,25 @@ class Connector:
         return frozenset(out)
 
     def is_disjoint(self) -> bool:
-        used: set[Node] = set()
-        for p in self.paths:
-            if not used.isdisjoint(p.node_set):
-                return False
-            used.update(p.node_set)
-        return True
+        return _disjoint(self.paths)
 
     def vertical_step_nodes(self) -> frozenset[Node]:
         """Nodes from which some path steps straight down."""
-        return frozenset(
-            u
-            for p in self.paths
-            for u, v in p.steps()
-            if v.i == u.i + 1 and v.j == u.j
-        )
+        return self._descent_nodes("blue")
 
     def diagonal_step_nodes(self) -> frozenset[Node]:
         """Nodes from which some path steps down and to the left."""
-        return frozenset(
-            u
-            for p in self.paths
-            for u, v in p.steps()
-            if v.i == u.i + 1 and v.j == u.j - 1
-        )
+        return self._descent_nodes("red")
+
+    def _descent_nodes(self, color: str) -> frozenset[Node]:
+        # each lattice has one descent, the only step that changes rows
+        if self.flavor != color:
+            return frozenset()
+        return frozenset(u for p in self.paths for u, v in p.steps() if v.i != u.i)
 
 
-def _flavor_of(lat: Lattice) -> str:
-    return "blue" if lat.flavor == "L" else "red"
-
+# the color of each lattice flavor's connectors
+_COLORS = {"L": "blue", "R": "red"}
 
 # horizontal edges all share this weight instance; skipping those products
 # keeps the brute-force sweeps cheap
@@ -106,19 +115,14 @@ def enumerate_paths(lat: Lattice, src: Node, snk: Node) -> list[Path]:
     """
     if src == snk:
         return [Path((src,), Polynomial.one())]
-    leftward = lat.flavor == "R"
+    reach = lat.path_counts(src, snk)
     out: list[Path] = []
     prefix: list[Node] = [src]
 
-    def feasible(u: Node) -> bool:
-        if u.i > snk.i:
-            return False
-        return u.j >= snk.j if leftward else u.j <= snk.j
-
     def walk(u: Node, weight: Polynomial) -> None:
         for v, w in lat.successors(u):
-            if not feasible(v):
-                continue
+            if not reach.get(v):
+                continue  # no path from v reaches snk
             nw = weight if w is _ONE_SENTINEL else weight * w
             prefix.append(v)
             if v == snk:
@@ -146,25 +150,12 @@ def pair_path_lists(lat: Lattice) -> list[list[Path]]:
     ]
 
 
-def _path_count(lat: Lattice, src: Node, snk: Node) -> int:
-    # every step moves down or toward the sink's column, so a path stays in
-    # the box spanned by src and snk; count backwards from snk, row by row
-    step = 1 if lat.flavor == "L" else -1
-    counts = {snk: 1}
-    for i in range(snk.i, src.i - 1, -1):
-        for j in range(snk.j, src.j - step, -step):
-            u = Node(i, j)
-            if u != snk:
-                counts[u] = sum(counts.get(v, 0) for v, _ in lat.successors(u))
-    return counts.get(src, 0)
-
-
 def tuple_count(lat: Lattice) -> int:
     """Size of the full Cartesian product the enumerator would visit,
     counted without building any path."""
     total = 1
     for s, t in zip(lat.sources, lat.sinks):
-        total *= _path_count(lat, s, t)
+        total *= lat.path_counts(s, t).get(s, 0)
         if total == 0:
             return 0
     return total
@@ -187,26 +178,11 @@ def iter_connectors(
     cap: int | None = None,
 ) -> Iterator[Connector]:
     check_tuple_cap(lat, cap)
-    lists = pair_path_lists(lat)
-    flavor = _flavor_of(lat)
-    if not lists:
-        yield Connector((), Polynomial.one(), flavor)
-        return
-    for combo in itertools.product(*lists):
-        if disjoint_only:
-            used: set[Node] = set()
-            ok = True
-            for p in combo:
-                if not used.isdisjoint(p.node_set):
-                    ok = False
-                    break
-                used.update(p.node_set)
-            if not ok:
-                continue
-        weight = Polynomial.one()
-        for p in combo:
-            weight = weight * p.weight
-        yield Connector(tuple(combo), weight, flavor)
+    color = _COLORS[lat.flavor]
+    # with no pairs, the product is the one empty connector
+    for combo in itertools.product(*pair_path_lists(lat)):
+        if not disjoint_only or _disjoint(combo):
+            yield Connector(combo, _weight(combo), color)
 
 
 def enumerate_connectors(
@@ -227,55 +203,48 @@ def connector_sum(lat: Lattice, cap: int | None = None) -> Polynomial:
     return acc
 
 
-def _walk(
-    start: Node,
-    stop_at: Node,
-    divert_at: frozenset[Node],
-    target_lat: Lattice,
-    divert_delta: tuple[int, int],
-    plain_delta: tuple[int, int],
-) -> Path:
-    # the walk ends on reaching its matched sink; no diverting step can be
-    # forced there because the box beneath a designated endpoint lies
-    # outside the diagram.  For partitions the sink also ends its line, so
-    # stopping there is the only possible termination anyway; general
-    # compositions can carry edges past the sink, hence the explicit stop.
+def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) -> Path:
+    # the walk ends on reaching its matched sink; no descent can be forced
+    # there because the box beneath a designated endpoint lies outside the
+    # diagram.  For partitions the sink also ends its line, so stopping
+    # there is the only possible termination anyway; general compositions
+    # can carry edges past the sink, hence the explicit stop.
     nodes = [start]
     weight = Polynomial.one()
     cur = start
     while cur != stop_at:
-        if cur in divert_at:
-            nxt = Node(cur.i + divert_delta[0], cur.j + divert_delta[1])
-            w = target_lat.edge_weight(cur, nxt)
-            if w is None:
+        descend = cur in divert_at
+        nxt = lat.step(cur, descend)
+        w = lat.edge_weight(cur, nxt)
+        if w is None:
+            if descend:
                 raise ComplementError(
-                    f"required {target_lat.flavor}-step {cur} -> {nxt} is missing"
+                    f"required {lat.flavor}-step {cur} -> {nxt} is missing"
                 )
+            break  # stranded; _complement's contract check reports it
+        if descend:
             weight = weight * w
-        else:
-            nxt = Node(cur.i + plain_delta[0], cur.j + plain_delta[1])
-            if target_lat.edge_weight(cur, nxt) is None:
-                break  # stranded; the assembly contract check reports it
         nodes.append(nxt)
         cur = nxt
     return Path(tuple(nodes), weight)
 
 
-def _assemble(
-    paths: Sequence[Path], target_lat: Lattice, flavor: str
-) -> Connector:
-    weight = Polynomial.one()
-    for p in paths:
-        weight = weight * p.weight
-    conn = Connector(tuple(paths), weight, flavor)
-    if not conn.is_disjoint():
+def _complement(divert_at: frozenset[Node], target: Lattice) -> Connector:
+    """The connector of target's color that walks from each of target's
+    sources, descending exactly at the nodes of divert_at."""
+    paths = tuple(
+        _walk(src, snk, divert_at, target)
+        for src, snk in zip(target.sources, target.sinks)
+    )
+    weight = _weight(paths)
+    if not _disjoint(paths):
         raise ComplementError("complementary walk produced crossing paths")
-    for p, expected in zip(paths, target_lat.sinks):
+    for p, expected in zip(paths, target.sinks):
         if p.nodes[-1] != expected:
             raise ComplementError(
                 f"walk ended at {p.nodes[-1]}, expected sink {expected}"
             )
-    return conn
+    return Connector(paths, weight, _COLORS[target.flavor])
 
 
 def complementary(
@@ -284,12 +253,7 @@ def complementary(
     """Red connector complementary to a vertex-disjoint blue connector."""
     if blue.flavor != "blue":
         raise ValueError("complementary expects a blue connector")
-    divert = blue.vertical_step_nodes()
-    paths = [
-        _walk(src, snk, divert, r_lat, (1, -1), (0, -1))
-        for src, snk in zip(r_lat.sources, r_lat.sinks)
-    ]
-    return _assemble(paths, r_lat, "red")
+    return _complement(blue.vertical_step_nodes(), r_lat)
 
 
 def complementary_inverse(
@@ -298,12 +262,7 @@ def complementary_inverse(
     """Blue connector whose complement is the given red connector."""
     if red.flavor != "red":
         raise ValueError("complementary_inverse expects a red connector")
-    divert = red.diagonal_step_nodes()
-    paths = [
-        _walk(src, snk, divert, l_lat, (1, 0), (0, 1))
-        for src, snk in zip(l_lat.sources, l_lat.sinks)
-    ]
-    return _assemble(paths, l_lat, "blue")
+    return _complement(red.diagonal_step_nodes(), l_lat)
 
 
 def intersection_nodes(c1: Connector, c2: Connector) -> frozenset[Node]:

@@ -9,11 +9,14 @@ The left lattice ("L", blue) walks rightward along box sides and downward
 along the right-hand side of each box; a descent in column j weighs x_j.
 The right lattice ("R", red) walks leftward and down-leftward across each
 box's top-right to bottom-left diagonal, again weighing x_j.  Horizontal
-steps are free.
+steps are free.  The flavors differ only in these steps, which ``STEPS``
+records; no other module knows them.
 
 Both lattices are implicit: a ``Lattice`` holds only its flavor, shape and
 designated endpoints, and reads every edge and weight off the shape when
 asked.  The node and edge sets are derived views, built on first use.
+``endpoints`` is the endpoint rule; ``Lattice.path_counts`` gives the
+integer path counts that the brute-force enumerator caps and prunes with.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ DIAGONAL = "diagonal"
 # every horizontal step carries this one instance; the path walkers skip
 # products by identity with it
 _ONE = Polynomial.one()
+
+# per flavor: the free horizontal step, then the weighted descent, as (di, dj)
+STEPS = {"L": ((0, 1), (1, 0)), "R": ((0, -1), (1, -1))}
 
 
 class Node(NamedTuple):
@@ -120,34 +126,59 @@ class Lattice:
 
     def successors(self, u: Node) -> tuple[tuple[Node, Polynomial], ...]:
         """Out-steps of u with their weights, in the deterministic step
-        order: L rightward before downward, R leftward before diagonally."""
+        order: the free step before the descent."""
         steps = self._steps.get(u)
         if steps is None:
             steps = self._steps[u] = self._read_steps(u)
         return steps
+
+    def step(self, u: Node, descend: bool) -> Node:
+        """The node one free step (or one descent) away from u, whether or
+        not the diagram holds that edge."""
+        di, dj = STEPS[self.flavor][descend]
+        return Node(u.i + di, u.j + dj)
 
     @cached_property
     def _steps(self) -> dict[Node, tuple[tuple[Node, Polynomial], ...]]:
         # successors read so far; path walks revisit the same nodes often
         return {}
 
+    @cached_property
+    def _path_counts(self) -> dict[tuple[Node, Node], dict[Node, int]]:
+        # the cap check and the enumerator count the same pairs
+        return {}
+
     def _read_steps(self, u: Node) -> tuple[tuple[Node, Polynomial], ...]:
         i, j = u
         shape = self.shape
+        (_, fj), (di, dj) = STEPS[self.flavor]
         out = []
-        # a horizontal step runs along the bottom of a row-i box or the top
-        # of a row-(i+1) box; the weighted step crosses a row-(i+1) box
-        if self.flavor == "L":
-            if _row_has_box(shape, i, j + 1) or _row_has_box(shape, i + 1, j + 1):
-                out.append((Node(i, j + 1), _ONE))
-            if _row_has_box(shape, i + 1, j):
-                out.append((Node(i + 1, j), Polynomial.variable(j)))
-        else:
-            if _row_has_box(shape, i, j) or _row_has_box(shape, i + 1, j):
-                out.append((Node(i, j - 1), _ONE))
-            if _row_has_box(shape, i + 1, j):
-                out.append((Node(i + 1, j - 1), Polynomial.variable(j)))
+        # the free step runs along the bottom of a row-i box or the top of a
+        # row-(i+1) box in the column it crosses; the descent crosses the
+        # row-(i+1) box in column j
+        col = max(j, j + fj)
+        if _row_has_box(shape, i, col) or _row_has_box(shape, i + 1, col):
+            out.append((Node(i, j + fj), _ONE))
+        if _row_has_box(shape, i + 1, j):
+            out.append((Node(i + di, j + dj), Polynomial.variable(j)))
         return tuple(out)
+
+    def path_counts(self, src: Node, snk: Node) -> dict[Node, int]:
+        """Number of paths to snk from each node of the box spanned by src
+        and snk (0 for a node that cannot reach snk); no path to snk leaves
+        that box, since steps never rise and move columns one way only.
+        Memoised per (src, snk); callers must not mutate the result."""
+        counts = self._path_counts.get((src, snk))
+        if counts is None:
+            counts = self._path_counts[src, snk] = {snk: 1}
+            # backwards from snk, row by row, each row against the free step
+            dj = STEPS[self.flavor][0][1]
+            for i in range(snk.i, src.i - 1, -1):
+                for j in range(snk.j, src.j - dj, -dj):
+                    u = Node(i, j)
+                    if u != snk:
+                        counts[u] = sum(counts.get(v, 0) for v, _ in self.successors(u))
+        return counts
 
     def edge_weight(self, u: Node, v: Node) -> Polynomial | None:
         """Weight of the edge u -> v, or None when absent."""
@@ -180,9 +211,8 @@ class Lattice:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge, ordered by (src, dst)."""
-        descent = VERTICAL if self.flavor == "L" else DIAGONAL
         return tuple(
-            Edge(u, v, HORIZONTAL if v.i == u.i else descent, w)
+            Edge(u, v, HORIZONTAL if v.i == u.i else VERTICAL if v.j == u.j else DIAGONAL, w)
             for u in sorted(self.nodes)
             for v, w in self.successors(u)
         )
@@ -228,10 +258,9 @@ def with_line_extreme_endpoints(base: Lattice, sel: IndexSelection) -> Lattice:
 def topological_potential(lat: Lattice) -> bool:
     """True when a strictly increasing potential orders every edge, which
     exhibits a topological order (hence acyclicity)."""
-    if lat.flavor == "L":
-        pot = lambda p: p.i + p.j
-    else:
-        pot = lambda p: p.i - p.j
+    # i + dj * j grows along the free step (0, dj) and along either descent
+    dj = STEPS[lat.flavor][0][1]
+    pot = lambda p: p.i + dj * p.j
     return all(pot(e.dst) > pot(e.src) for e in lat.edges)
 
 

@@ -80,10 +80,18 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        if terms is None:
-            self._terms: dict[Monomial, int] = {}
-        else:
-            self._terms = {m: c for m, c in terms.items() if c}
+        """Polynomial with the given terms; a monomial may list variables in
+        any order, repeated or with zero exponents, and like terms add."""
+        acc: dict[Monomial, int] = {}
+        for m, c in (terms or {}).items():
+            exps: dict[int, int] = {}
+            for v, e in m:
+                if v < 0 or e < 0:
+                    raise ValueError(f"negative variable index or exponent in {m}")
+                exps[v] = exps.get(v, 0) + e
+            key = tuple(sorted((v, e) for v, e in exps.items() if e))
+            acc[key] = acc.get(key, 0) + c
+        self._terms: dict[Monomial, int] = {m: c for m, c in acc.items() if c}
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "Polynomial":

@@ -243,15 +243,9 @@ def is_row_connected(shape: SkewShape) -> bool:
         left = shape.alpha_part(t + 1)
         right = shape.beta_part(t)
         runs = line_runs(shape, t)
-        if not runs:
-            if left != right:
-                return False
-        elif len(runs) > 1:
+        # a line without boxes still needs its two designated points to meet
+        if runs != [(left, right)] and (runs or left != right):
             return False
-        else:
-            lo, hi = runs[0]
-            if left != lo or right != hi:
-                return False
     return True
 
 

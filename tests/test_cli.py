@@ -99,6 +99,27 @@ def test_verify_json_roundtrip(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        PROBE,
+        # hypothesis fails, determinants differ
+        ["--n", "2", "--alpha", "3,1", "--beta", "3,3", "--A", "0", "--B", "2"],
+        # designated points off the diagram, empty selection
+        ["--n", "2", "--alpha", "1,1", "--beta", "2,1", "--A", "", "--B", ""],
+    ],
+)
+def test_verify_json_roundtrip_rebuilds_arguments(capsys, problem):
+    # violating pairs, isolated points and empty sets all survive the trip
+    code, first, _ = run(capsys, ["verify", *problem, "--json"])
+    payload = json.loads(first)
+    argv = ["verify", "--json"]
+    for key in ("n", "alpha", "beta", "A", "B"):
+        value = payload[key]
+        argv += [f"--{key}", str(value) if key == "n" else ",".join(map(str, value))]
+    assert run(capsys, argv) == (code, first, "")
+
+
 def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, ["verify", *FOUR_ROW, "--json"])
     _, second, _ = run(capsys, ["verify", *FOUR_ROW, "--json"])
@@ -334,6 +355,23 @@ def test_sweep_guard(capsys):
     code, _, err = run(capsys, ["sweep", "--max-n", "7", "--max-part", "2"])
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--max-n", "2", "--max-part", "-3"], ["--max-n", "0", "--max-part", "2"]]
+)
+def test_sweep_rejects_bounds_below_range(capsys, monkeypatch, bounds):
+    monkeypatch.setattr(identity, "run_sweep", _refuse)
+    code, out, err = run(capsys, ["sweep", *bounds])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_sweep_accepts_zero_max_part(capsys):
+    code, out, _ = run(capsys, ["sweep", "--max-n", "1", "--max-part", "0", "--json"])
+    assert code == 0
+    assert json.loads(out)["total"] > 0
 
 
 def test_draw_matches_golden(capsys):

@@ -164,6 +164,16 @@ def test_tuple_count_matches_enumerated_path_lists():
                     assert tuple_count(lat) == expected
 
 
+def test_path_counts_are_memoised_per_pair():
+    # the cap check and the enumerator share one count per endpoint pair
+    lat = build_L(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
+    pairs = list(zip(lat.sources, lat.sinks))
+    first = [lat.path_counts(s, t) for s, t in pairs]
+    assert lat.path_counts(*pairs[0]) is lat.path_counts(*pairs[0])
+    connector_sum(lat)
+    assert all(lat.path_counts(s, t) is c for (s, t), c in zip(pairs, first))
+
+
 def test_connector_sum_of_probe_shape_red_side():
     shape = make_skew([2, 0, 0], [3, 3, 1])
     sel = IndexSelection.make(3, [0, 1, 2], [1, 2, 3])

@@ -1,7 +1,9 @@
 import math
 import random
 
-from skewlgv.detring import PolyMatrix, det, identity_matrix, int_det, matmul
+from hypothesis import given, settings, strategies as st
+
+from skewlgv.detring import PolyMatrix, det, det_naive, identity_matrix, int_det, matmul
 from skewlgv.identity import (
     build_e_matrix,
     build_full_E,
@@ -307,6 +309,31 @@ def test_det_agrees_with_int_det_at_random_points():
             for m in (build_h_matrix(shape, sel), build_e_matrix(shape, sel)):
                 rows = [[x.evaluate(point) for x in m.row(r)] for r in range(m.rows)]
                 assert det(m).evaluate(point) == int_det(rows)
+
+
+@st.composite
+def shapes_and_selections(draw):
+    """A skew shape with n <= 7 rows and parts <= 7, and a selection whose h
+    and e matrices both have dimension <= 6."""
+    n = draw(st.integers(1, 7))
+    beta = sorted(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)), reverse=True)
+    # sorting keeps alpha <= beta: the k-th largest alpha lies below k betas
+    alpha = sorted((draw(st.integers(0, b)) for b in beta), reverse=True)
+    k = draw(st.integers(max(0, n - 5), min(6, n + 1)))
+    rows = st.lists(st.integers(0, n), min_size=k, max_size=k, unique=True)
+    return make_skew(alpha, beta), IndexSelection.make(n, draw(rows), draw(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shapes_and_selections())
+def test_det_agrees_with_det_naive_on_random_shapes(problem):
+    # beyond the exhaustive n <= 4 grid; the Leibniz sum grows with the
+    # entries' terms, so matrices past the budget are left to the point check
+    shape, sel = problem
+    for m in (build_h_matrix(shape, sel), build_e_matrix(shape, sel)):
+        assert m.rows <= 6
+        if sum(len(x.terms) for x in m.entries) <= 120:
+            assert det(m) == det_naive(m)
 
 
 # --- misc -----------------------------------------------------------------------

@@ -131,6 +131,28 @@ def test_eq_means_term_maps_equal(p, q):
         assert hash(p) == hash(q)
 
 
+def test_constructor_canonicalizes_monomials():
+    swapped = Polynomial({((2, 1), (1, 1)): 1})
+    assert swapped == X1 * X2
+    assert hash(swapped) == hash(X1 * X2)
+    assert str(swapped) == "x1*x2"
+    assert Polynomial({((1, 0),): 3}) == 3
+    assert hash(Polynomial({((1, 0),): 3})) == hash(Polynomial.integer(3))
+    repeated = Polynomial({((1, 2), (1, 1)): 1})
+    assert repeated == X1**3
+    assert str(repeated) == "x1^3"
+    # monomials that coincide once canonical add, and cancel to zero
+    assert Polynomial({((2, 1), (1, 1)): 2, ((1, 1), (2, 1)): 3}) == 5 * X1 * X2
+    assert Polynomial({((1, 1),): 1, ((1, 1), (2, 0)): -1}).is_zero()
+    assert Polynomial({(): 0}) == ZERO
+
+
+@pytest.mark.parametrize("monomial", [((-1, 1),), ((1, -2),)])
+def test_constructor_rejects_negative_index_or_exponent(monomial):
+    with pytest.raises(ValueError):
+        Polynomial({monomial: 1})
+
+
 # --- symmetric polynomial constructors --------------------------------------
 
 
