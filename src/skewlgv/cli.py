@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import connectors as conn
 from . import identity
-from .connectors import ComplementError, DEFAULT_TUPLE_CAP, EnumerationCapError
+from .connectors import ComplementError, EnumerationCapError
 from .lattice import build_L, build_R, render
 from .shape import IndexSelection, ShapeError, SkewShape, is_row_connected, make_skew
 from .poly import Polynomial
@@ -47,10 +47,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _tuple_cap() -> int:
+def _tuple_cap() -> int | None:
+    """The cap from SKEWLGV_MAX_TUPLES; None (the enumerator's default)
+    when it is unset."""
     raw = os.environ.get("SKEWLGV_MAX_TUPLES")
     if raw is None:
-        return DEFAULT_TUPLE_CAP
+        return None
     try:
         cap = int(raw)
     except ValueError:
@@ -265,19 +267,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "max_n": args.max_n,
-        "max_part": args.max_part,
-        "hypothesis_only": args.hypothesis_only,
-        "total": summary.total,
-        "holds_equal": summary.holds_equal,
-        "fails_equal": summary.fails_equal,
-        "fails_unequal": summary.fails_unequal,
-        "holds_unequal": summary.holds_unequal,
-    }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_report_dict(summary), indent=2))
     else:
         print(f"cases: {summary.total}")
         print(f"hypothesis holds, equal:   {summary.holds_equal}")

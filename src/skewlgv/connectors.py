@@ -103,10 +103,6 @@ class Connector:
 # the color of each lattice flavor's connectors
 _COLORS = {"L": "blue", "R": "red"}
 
-# horizontal edges all share this weight instance; skipping those products
-# keeps the brute-force sweeps cheap
-_ONE_SENTINEL = Polynomial.one()
-
 
 def enumerate_paths(lat: Lattice, src: Node, snk: Node) -> list[Path]:
     """All directed paths src -> snk, in lexicographic node-sequence order.
@@ -123,7 +119,7 @@ def enumerate_paths(lat: Lattice, src: Node, snk: Node) -> list[Path]:
         for v, w in lat.successors(u):
             if not reach.get(v):
                 continue  # no path from v reaches snk
-            nw = weight if w is _ONE_SENTINEL else weight * w
+            nw = weight * w
             prefix.append(v)
             if v == snk:
                 out.append(Path(tuple(prefix), nw))
@@ -222,8 +218,7 @@ def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) 
                     f"required {lat.flavor}-step {cur} -> {nxt} is missing"
                 )
             break  # stranded; _complement's contract check reports it
-        if descend:
-            weight = weight * w
+        weight = weight * w
         nodes.append(nxt)
         cur = nxt
     return Path(tuple(nodes), weight)

@@ -22,13 +22,15 @@ from typing import Callable, Iterator
 
 from . import connectors as conn
 from .detring import PolyMatrix, det
-from .lattice import Node, build_L, build_R, line_points, touches_box
+from .lattice import build_L, build_R, isolated_points
 from .poly import Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
     HypothesisCheck,
     IndexSelection,
+    Node,
     SkewShape,
     is_row_connected,
+    line_points,
     parallelogram_hypothesis,
     rectangle,
     selections,
@@ -71,8 +73,9 @@ def isolated_endpoints(shape: SkewShape) -> tuple[Node, ...]:
     Such points are adjoined to the lattices as isolated nodes; listing
     them keeps that convention visible in reports.
     """
-    pts = {p for t in range(shape.n + 1) for p in line_points(shape, t)}
-    return tuple(sorted(p for p in pts if not touches_box(shape, p)))
+    return isolated_points(
+        shape, (p for t in range(shape.n + 1) for p in line_points(shape, t))
+    )
 
 
 @dataclass
@@ -183,8 +186,8 @@ class BinomialReport:
 def verify_binomial(n: int, sel: IndexSelection) -> BinomialReport:
     """Integer binomial determinant duality, obtained at q = 1."""
     qrep = verify_qbinomial(n, sel)
-    lhs = qrep.det_lhs.evaluate({0: 1}) if qrep.det_lhs else 0
-    rhs = qrep.det_rhs.evaluate({0: 1}) if qrep.det_rhs else 0
+    lhs = qrep.det_lhs.evaluate({0: 1})
+    rhs = qrep.det_rhs.evaluate({0: 1})
     return BinomialReport(n, sel.a_set, sel.b_set, lhs, rhs, lhs == rhs)
 
 
@@ -283,12 +286,12 @@ def build_full_E(shape: SkewShape) -> PolyMatrix:
 class SweepSummary:
     max_n: int
     max_part: int
+    hypothesis_only: bool = False
     total: int = 0
     holds_equal: int = 0
     fails_equal: int = 0
     fails_unequal: int = 0
     holds_unequal: int = 0
-    falsifications: list[VerificationReport] | None = None
 
     def bucket(self, report: VerificationReport) -> None:
         self.total += 1
@@ -297,9 +300,6 @@ class SweepSummary:
                 self.holds_equal += 1
             else:
                 self.holds_unequal += 1
-                if self.falsifications is None:
-                    self.falsifications = []
-                self.falsifications.append(report)
         else:
             if report.equal:
                 self.fails_equal += 1
@@ -325,7 +325,7 @@ def run_sweep(
 ) -> SweepSummary:
     """Verify every case; with hypothesis_only, skip cases whose
     parallelogram check fails (their determinants are not computed)."""
-    summary = SweepSummary(max_n=max_n, max_part=max_part)
+    summary = SweepSummary(max_n, max_part, hypothesis_only)
     for shape, sel in sweep_cases(max_n, max_part):
         if hypothesis_only and not parallelogram_hypothesis(shape, sel).ok:
             continue

@@ -9,8 +9,9 @@ The left lattice ("L", blue) walks rightward along box sides and downward
 along the right-hand side of each box; a descent in column j weighs x_j.
 The right lattice ("R", red) walks leftward and down-leftward across each
 box's top-right to bottom-left diagonal, again weighing x_j.  Horizontal
-steps are free.  The flavors differ only in these steps, which ``STEPS``
-records; no other module knows them.
+steps are free: they weigh the shared ``Polynomial.one()``, and a product
+by it costs nothing.  The flavors differ only in these steps, which
+``STEPS`` records; no other module knows them.
 
 Both lattices are implicit: a ``Lattice`` holds only its flavor, shape and
 designated endpoints, and reads every edge and weight off the shape when
@@ -23,26 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .poly import Polynomial
-from .shape import IndexSelection, SkewShape, line_runs
+from .shape import IndexSelection, Node, SkewShape, line_points, line_runs
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
-# every horizontal step carries this one instance; the path walkers skip
-# products by identity with it
-_ONE = Polynomial.one()
-
 # per flavor: the free horizontal step, then the weighted descent, as (di, dj)
 STEPS = {"L": ((0, 1), (1, 0)), "R": ((0, -1), (1, -1))}
-
-
-class Node(NamedTuple):
-    i: int
-    j: int
 
 
 class Edge(NamedTuple):
@@ -70,11 +62,10 @@ def touches_box(shape: SkewShape, p: Node) -> bool:
     return False
 
 
-def line_points(shape: SkewShape, t: int) -> tuple[Node, Node]:
-    """Designated left and right points (t, alpha_{t+1}) and (t, beta_t)
-    of horizontal line t, read with the boundary conventions
-    alpha_{n+1} = alpha_n and beta_0 = beta_1."""
-    return Node(t, shape.alpha_part(t + 1)), Node(t, shape.beta_part(t))
+def isolated_points(shape: SkewShape, points: Iterable[Node]) -> tuple[Node, ...]:
+    """The distinct points among `points` that touch no box, sorted.  Such
+    designated endpoints are adjoined to the lattices as isolated nodes."""
+    return tuple(sorted(p for p in set(points) if not touches_box(shape, p)))
 
 
 def endpoints(
@@ -158,7 +149,7 @@ class Lattice:
         # row-(i+1) box in column j
         col = max(j, j + fj)
         if _row_has_box(shape, i, col) or _row_has_box(shape, i + 1, col):
-            out.append((Node(i, j + fj), _ONE))
+            out.append((Node(i, j + fj), Polynomial.one()))
         if _row_has_box(shape, i + 1, j):
             out.append((Node(i + di, j + dj), Polynomial.variable(j)))
         return tuple(out)
@@ -189,11 +180,9 @@ class Lattice:
 
     @cached_property
     def isolated_nodes(self) -> tuple[Node, ...]:
-        """Designated endpoints that touch no box.  They are adjoined as
-        isolated nodes; a source stranded this way simply contributes
-        zero paths."""
-        pts = (*self.sources, *self.sinks)
-        return tuple(sorted(set(p for p in pts if not touches_box(self.shape, p))))
+        """Designated endpoints that touch no box; a source stranded this
+        way simply contributes zero paths."""
+        return isolated_points(self.shape, (*self.sources, *self.sinks))
 
     @cached_property
     def nodes(self) -> frozenset[Node]:

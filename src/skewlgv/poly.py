@@ -81,9 +81,12 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         """Polynomial with the given terms; a monomial may list variables in
-        any order, repeated or with zero exponents, and like terms add."""
+        any order, repeated or with zero exponents, and like terms add.
+        Coefficients must be ints."""
         acc: dict[Monomial, int] = {}
         for m, c in (terms or {}).items():
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient of {m} is not an int: {c!r}")
             exps: dict[int, int] = {}
             for v, e in m:
                 if v < 0 or e < 0:
@@ -178,6 +181,10 @@ class Polynomial:
         return Polynomial.integer(other) + (-self)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
+        # products by the shared one are common (free lattice steps, the
+        # last row of a determinant expansion) and cost nothing
+        if other is _ONE:
+            return self
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
@@ -186,6 +193,8 @@ class Polynomial:
             return Polynomial._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if self is _ONE:
+            return other
         if not self._terms or not other._terms:
             return _ZERO
         a, b = self._terms, other._terms

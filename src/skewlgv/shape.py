@@ -17,6 +17,13 @@ class ShapeError(ValueError):
     """Invalid partition, containment, or selection data."""
 
 
+class Node(NamedTuple):
+    """A point (i, j) of the diagram: line i, column j."""
+
+    i: int
+    j: int
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing tuple of nonnegative parts (zeros permitted)."""
@@ -206,6 +213,13 @@ def near_staircase_check(p: Partition) -> bool:
     return all(a - b <= 1 for a, b in zip(p.parts, p.parts[1:]))
 
 
+def line_points(shape: SkewShape, t: int) -> tuple[Node, Node]:
+    """Designated left and right points (t, alpha_{t+1}) and (t, beta_t)
+    of horizontal line t, read with the boundary conventions
+    alpha_{n+1} = alpha_n and beta_0 = beta_1."""
+    return Node(t, shape.alpha_part(t + 1)), Node(t, shape.beta_part(t))
+
+
 def line_runs(shape: SkewShape, t: int) -> list[tuple[int, int]]:
     """Maximal contiguous column intervals of horizontal line t.
 
@@ -240,11 +254,10 @@ def is_row_connected(shape: SkewShape) -> bool:
     at all, so on partitions this is purely a connectivity predicate.
     """
     for t in range(shape.n + 1):
-        left = shape.alpha_part(t + 1)
-        right = shape.beta_part(t)
+        left, right = line_points(shape, t)
         runs = line_runs(shape, t)
         # a line without boxes still needs its two designated points to meet
-        if runs != [(left, right)] and (runs or left != right):
+        if runs != [(left.j, right.j)] and (runs or left != right):
             return False
     return True
 

@@ -214,6 +214,17 @@ def test_tuple_cap_checked_before_any_work(capsys, monkeypatch, command):
     assert err == "enumeration cap exceeded: 1352078 path tuples exceed the cap of 1000\n"
 
 
+def test_default_tuple_cap_is_applied_by_the_enumerator(capsys, monkeypatch):
+    # with SKEWLGV_MAX_TUPLES unset the CLI passes no cap, and connectors
+    # applies its own default
+    monkeypatch.delenv("SKEWLGV_MAX_TUPLES", raising=False)
+    monkeypatch.setattr(connectors, "DEFAULT_TUPLE_CAP", 5)
+    code, out, err = run(capsys, ["verify", *FOUR_ROW, "--brute"])
+    assert code == 3
+    assert out == ""
+    assert err == "enumeration cap exceeded: 27 path tuples exceed the cap of 5\n"
+
+
 @pytest.mark.parametrize("raw", ["0", "-5", "many"])
 def test_tuple_cap_env_must_be_positive(capsys, monkeypatch, raw):
     monkeypatch.setenv("SKEWLGV_MAX_TUPLES", raw)
@@ -349,6 +360,16 @@ def test_sweep_hypothesis_only(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["fails_equal"] == payload["fails_unequal"] == 0
+
+
+@pytest.mark.parametrize(
+    "mode, golden",
+    [([], "sweep_2_2.json"), (["--hypothesis-only"], "sweep_2_2_hypothesis_only.json")],
+)
+def test_sweep_json_golden(capsys, mode, golden):
+    code, out, _ = run(capsys, ["sweep", "--max-n", "2", "--max-part", "2", *mode, "--json"])
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_sweep_guard(capsys):

@@ -6,6 +6,7 @@ from skewlgv.lattice import (
     build_L,
     build_R,
     endpoints,
+    isolated_points,
     render,
     topological_potential,
     with_selection,
@@ -145,7 +146,7 @@ def test_render_marks_coinciding_source_sink():
 
 def test_successors_and_edge_weight_agree_with_edges():
     # the implicit graph answers point queries exactly as its edge view
-    # lists it; free steps share the one instance the walkers skip by
+    # lists it; free steps all carry the shared one instance
     for n in range(1, 4):
         for shape in skew_shapes(n, 3):
             for lat in (build_L(shape, None), build_R(shape, None)):
@@ -159,6 +160,21 @@ def test_successors_and_edge_weight_agree_with_edges():
                         v = Node(u.i + di, u.j + dj)
                         if (u, v) not in listed:
                             assert lat.edge_weight(u, v) is None
+
+
+def test_isolated_points_are_distinct_sorted_and_off_the_boxes():
+    # row 2 spans columns 0..1 only, so (2, 2) and (2, 3) touch no box
+    shape = make_skew([2, 0], [3, 1])
+    pts = [Node(2, 3), Node(0, 2), Node(2, 2), Node(2, 3), Node(1, 1)]
+    assert isolated_points(shape, pts) == (Node(2, 2), Node(2, 3))
+    assert isolated_points(shape, iter(pts)) == (Node(2, 2), Node(2, 3))
+    assert isolated_points(shape, ()) == ()
+
+
+def test_node_is_the_shape_point():
+    from skewlgv import shape
+
+    assert Node is shape.Node
 
 
 def test_endpoint_rule_single_source():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,18 @@ def test_constructor_canonicalizes_monomials():
 def test_constructor_rejects_negative_index_or_exponent(monomial):
     with pytest.raises(ValueError):
         Polynomial({monomial: 1})
+
+
+@pytest.mark.parametrize("coefficient", [1.5, 2.0, Fraction(1, 2)])
+def test_constructor_rejects_non_integer_coefficient(coefficient):
+    with pytest.raises(TypeError):
+        Polynomial({((1, 1),): coefficient})
+
+
+@pytest.mark.parametrize("p", [X1 + 2 * X2 * Q, ZERO], ids=["nonzero", "zero"])
+def test_product_by_shared_one_is_the_other_operand(p):
+    assert p * ONE is p
+    assert ONE * p is p
 
 
 # --- symmetric polynomial constructors --------------------------------------
