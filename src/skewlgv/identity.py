@@ -10,7 +10,9 @@ The two matrices attached to a skew shape and a row selection are
 Their determinants agree whenever the parallelogram condition holds; the
 verifiers here never assert, they report, because the condition is
 sufficient but not necessary and the sweep deliberately records what
-happens beyond it.
+happens beyond it.  A report also carries two facts of the shape alone,
+its isolated designated points and its row-connectedness, which the shape
+computes once however many selections are verified on it.
 """
 
 from __future__ import annotations
@@ -22,15 +24,13 @@ from typing import Callable, Iterator
 
 from . import connectors as conn
 from .detring import PolyMatrix, det
-from .lattice import build_L, build_R, isolated_points
+from .lattice import build_L, build_R
 from .poly import Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
     HypothesisCheck,
     IndexSelection,
     Node,
     SkewShape,
-    is_row_connected,
-    line_points,
     parallelogram_hypothesis,
     rectangle,
     selections,
@@ -65,17 +65,6 @@ def build_h_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
 
 def build_e_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
     return PolyMatrix.tabulate(partial(entry_e, shape), sel.a_comp, sel.b_comp)
-
-
-def isolated_endpoints(shape: SkewShape) -> tuple[Node, ...]:
-    """Designated source/sink coordinates that touch no box.
-
-    Such points are adjoined to the lattices as isolated nodes; listing
-    them keeps that convention visible in reports.
-    """
-    return isolated_points(
-        shape, (p for t in range(shape.n + 1) for p in line_points(shape, t))
-    )
 
 
 @dataclass
@@ -131,8 +120,8 @@ def verify_main(
         equal=dh == de,
         brute_blue=brute_blue,
         brute_red=brute_red,
-        isolated=isolated_endpoints(shape),
-        row_connected=is_row_connected(shape),
+        isolated=shape.isolated_points,
+        row_connected=shape.row_connected,
     )
 
 

@@ -14,24 +14,22 @@ by it costs nothing.  The flavors differ only in these steps, which
 ``STEPS`` records; no other module knows them.
 
 Both lattices are implicit: a ``Lattice`` holds only its flavor, shape and
-designated endpoints, and reads every edge and weight off the shape when
-asked.  The node and edge sets are derived views, built on first use.
-``endpoints`` is the endpoint rule; ``Lattice.path_counts`` gives the
-integer path counts that the brute-force enumerator caps and prunes with.
+designated endpoints, and reads every edge and weight off the shape's box
+rule (``SkewShape.has_box``) when asked.  Its nodes are the shape's box
+corners plus the endpoints among the shape's isolated points; the node
+and edge sets are derived views, built on first use.  ``endpoints`` is
+the endpoint rule; ``Lattice.path_counts`` gives the integer path counts
+that the brute-force enumerator caps and prunes with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .poly import Polynomial
 from .shape import IndexSelection, Node, SkewShape, line_points, line_runs
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-DIAGONAL = "diagonal"
 
 # per flavor: the free horizontal step, then the weighted descent, as (di, dj)
 STEPS = {"L": ((0, 1), (1, 0)), "R": ((0, -1), (1, -1))}
@@ -40,32 +38,7 @@ STEPS = {"L": ((0, 1), (1, 0)), "R": ((0, -1), (1, -1))}
 class Edge(NamedTuple):
     src: Node
     dst: Node
-    kind: str
     weight: Polynomial
-
-
-def _row_has_box(shape: SkewShape, row: int, j: int) -> bool:
-    """True when 1-indexed row `row` holds a box in column j."""
-    return 1 <= row <= shape.n and shape.alpha[row - 1] < j <= shape.beta[row - 1]
-
-
-def touches_box(shape: SkewShape, p: Node) -> bool:
-    """True when p is a corner of some box of the diagram, that is when
-    row p.i or row p.i + 1 is nonempty and spans column p.j."""
-    i, j = p
-    for row in (i, i + 1):
-        if 1 <= row <= shape.n:
-            lo = shape.alpha[row - 1]
-            hi = shape.beta[row - 1]
-            if lo < hi and lo <= j <= hi:
-                return True
-    return False
-
-
-def isolated_points(shape: SkewShape, points: Iterable[Node]) -> tuple[Node, ...]:
-    """The distinct points among `points` that touch no box, sorted.  Such
-    designated endpoints are adjoined to the lattices as isolated nodes."""
-    return tuple(sorted(p for p in set(points) if not touches_box(shape, p)))
 
 
 def endpoints(
@@ -148,9 +121,9 @@ class Lattice:
         # row-(i+1) box in the column it crosses; the descent crosses the
         # row-(i+1) box in column j
         col = max(j, j + fj)
-        if _row_has_box(shape, i, col) or _row_has_box(shape, i + 1, col):
+        if shape.has_box(i, col) or shape.has_box(i + 1, col):
             out.append((Node(i, j + fj), Polynomial.one()))
-        if _row_has_box(shape, i + 1, j):
+        if shape.has_box(i + 1, j):
             out.append((Node(i + di, j + dj), Polynomial.variable(j)))
         return tuple(out)
 
@@ -180,34 +153,22 @@ class Lattice:
 
     @cached_property
     def isolated_nodes(self) -> tuple[Node, ...]:
-        """Designated endpoints that touch no box; a source stranded this
-        way simply contributes zero paths."""
-        return isolated_points(self.shape, (*self.sources, *self.sinks))
+        """The shape's isolated points that are endpoints here, sorted; a
+        source stranded this way simply contributes zero paths."""
+        ends = {*self.sources, *self.sinks}
+        return tuple(p for p in self.shape.isolated_points if p in ends)
 
     @cached_property
     def nodes(self) -> frozenset[Node]:
         """Box corners, plus the isolated endpoints."""
-        corners = set(self.isolated_nodes)
-        shape = self.shape
-        for i in range(1, shape.n + 1):
-            lo, hi = shape.alpha[i - 1], shape.beta[i - 1]
-            if lo < hi:
-                for j in range(lo, hi + 1):
-                    corners.add(Node(i - 1, j))
-                    corners.add(Node(i, j))
-        return frozenset(corners)
+        return self.shape.corners.union(self.isolated_nodes)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge, ordered by (src, dst)."""
         return tuple(
-            Edge(u, v, HORIZONTAL if v.i == u.i else VERTICAL if v.j == u.j else DIAGONAL, w)
-            for u in sorted(self.nodes)
-            for v, w in self.successors(u)
+            Edge(u, v, w) for u in sorted(self.nodes) for v, w in self.successors(u)
         )
-
-    def edge_count(self, kind: str) -> int:
-        return sum(1 for e in self.edges if e.kind == kind)
 
 
 def build_L(shape: SkewShape, sel: IndexSelection | None = None) -> Lattice:
@@ -255,7 +216,7 @@ def topological_potential(lat: Lattice) -> bool:
 
 def render(lat: Lattice) -> str:
     """Monospace picture: nodes '+', sources 'o', sinks 'x' (both: '*'),
-    horizontal edges '---', vertical '|', diagonal '\\'."""
+    free steps '---', descents '|' (L) or diagonal '\\' (R)."""
     if not lat.nodes:
         return ""
     max_i = max(p.i for p in lat.nodes)
@@ -263,14 +224,13 @@ def render(lat: Lattice) -> str:
     height = 2 * max_i + 1
     width = 4 * max_j + 1
     grid = [[" "] * width for _ in range(height)]
-    for e in lat.edges:
-        u, v = e.src, e.dst
-        if e.kind == HORIZONTAL:
+    for u, v, _ in lat.edges:
+        if v.i == u.i:
             row = 2 * u.i
             left = min(u.j, v.j)
             for c in range(4 * left + 1, 4 * left + 4):
                 grid[row][c] = "-"
-        elif e.kind == VERTICAL:
+        elif lat.flavor == "L":
             grid[2 * u.i + 1][4 * u.j] = "|"
         else:
             grid[2 * u.i + 1][4 * v.j + 2] = "\\"

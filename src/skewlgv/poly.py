@@ -45,9 +45,6 @@ class VarRange(NamedTuple):
     def width(self) -> int:
         return max(0, self.hi - self.lo + 1)
 
-    def indices(self) -> range:
-        return range(self.lo, self.hi + 1)
-
 
 @lru_cache(maxsize=1 << 18)
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:

@@ -1,15 +1,20 @@
 """Partitions, skew diagrams, row index selections, and the parallelogram
 condition that governs when every entry of the e-side matrix counts paths.
 
-Partitions are 1-indexed through ``part(i)`` to match the usual convention
-for parts; storage is a plain tuple.  Index selections live on {0, ..., n}
-and always carry their complements.
+Parts are read 1-indexed through ``SkewShape.alpha_part``/``beta_part``,
+to match the usual convention for parts; storage is a plain tuple.  Index
+selections live on {0, ..., n} and always carry their complements.
+
+The shape owns the diagram's geometry: ``has_box`` is the one box rule,
+and the box corners, the isolated designated points and row-connectedness
+are computed once per shape, on first use.  The lattices read them here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -38,10 +43,6 @@ class Partition:
         if any(a < b for a, b in zip(t, t[1:])):
             raise ShapeError(f"not weakly decreasing: {t}")
         return cls(t)
-
-    def part(self, i: int) -> int:
-        """1-indexed part accessor."""
-        return self.parts[i - 1]
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -81,26 +82,57 @@ class SkewShape:
         return cls(alpha=a, beta=b, n=len(a))
 
     def alpha_part(self, i: int) -> int:
-        """1-indexed; i = n+1 reads as row n (boundary interpretation)."""
+        """1-indexed, i in 1..n+1; i = n+1 reads as row n (boundary
+        interpretation)."""
+        if 0 < i <= self.n:
+            return self.alpha[i - 1]
         if i == self.n + 1:
             return self.alpha[self.n - 1]
-        return self.alpha[i - 1]
+        raise ShapeError(f"alpha part index {i} outside 1..{self.n + 1}")
 
     def beta_part(self, i: int) -> int:
-        """1-indexed; i = 0 reads as row 1 (boundary interpretation)."""
+        """1-indexed, i in 0..n; i = 0 reads as row 1 (boundary
+        interpretation)."""
+        if 0 < i <= self.n:
+            return self.beta[i - 1]
         if i == 0:
             return self.beta[0]
-        return self.beta[i - 1]
+        raise ShapeError(f"beta part index {i} outside 0..{self.n}")
 
-    def row_box_columns(self, i: int) -> range:
-        """Columns j of the boxes in row i (1-indexed row)."""
-        return range(self.alpha[i - 1] + 1, self.beta[i - 1] + 1)
+    def has_box(self, row: int, j: int) -> bool:
+        """True when 1-indexed row `row` holds a box in column j, the box
+        whose bottom-right corner is the point (row, j); False for rows
+        outside 1..n."""
+        return 0 < row <= self.n and self.alpha[row - 1] < j <= self.beta[row - 1]
 
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        """All boxes (row, column), rows 1..n."""
-        for i in range(1, self.n + 1):
-            for j in self.row_box_columns(i):
-                yield (i, j)
+    @cached_property
+    def corners(self) -> frozenset[Node]:
+        """Every corner of a box: the points on the runs of each line."""
+        return frozenset(
+            Node(t, j)
+            for t in range(self.n + 1)
+            for lo, hi in line_runs(self, t)
+            for j in range(lo, hi + 1)
+        )
+
+    @cached_property
+    def isolated_points(self) -> tuple[Node, ...]:
+        """The distinct designated line points that are no box corner,
+        sorted; the lattices adjoin those they use as isolated nodes."""
+        return tuple(sorted(
+            {p for t in range(self.n + 1) for p in line_points(self, t)} - self.corners
+        ))
+
+    @cached_property
+    def row_connected(self) -> bool:
+        """See ``is_row_connected``."""
+        for t in range(self.n + 1):
+            left, right = line_points(self, t)
+            runs = line_runs(self, t)
+            # a line without boxes still needs its two designated points to meet
+            if runs != [(left.j, right.j)] and (runs or left != right):
+                return False
+        return True
 
     def box_count(self) -> int:
         return sum(b - a for a, b in zip(self.alpha, self.beta))
@@ -253,13 +285,7 @@ def is_row_connected(shape: SkewShape) -> bool:
     condition is automatic whenever the designated points lie on the run
     at all, so on partitions this is purely a connectivity predicate.
     """
-    for t in range(shape.n + 1):
-        left, right = line_points(shape, t)
-        runs = line_runs(shape, t)
-        # a line without boxes still needs its two designated points to meet
-        if runs != [(left.j, right.j)] and (runs or left != right):
-            return False
-    return True
+    return shape.row_connected
 
 
 def staircase(n: int) -> SkewShape:
@@ -305,11 +331,7 @@ def selections(n: int) -> Iterator[IndexSelection]:
                 yield IndexSelection(n=n, a_set=a, b_set=b)
 
 
-def compositions_with(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """All length-n tuples with entries in 0..max_part (order-free parts)."""
-    yield from itertools.product(range(max_part, -1, -1), repeat=n)
-
-
 def composition_shapes(n: int, max_part: int) -> Iterator[SkewShape]:
-    """All pointwise-dominated composition pairs, partitions included."""
-    yield from _dominated_pairs(compositions_with(n, max_part))
+    """All pointwise-dominated pairs of length-n tuples with entries in
+    0..max_part (order-free parts), partitions included."""
+    yield from _dominated_pairs(itertools.product(range(max_part, -1, -1), repeat=n))

@@ -9,7 +9,6 @@ from skewlgv.identity import (
     build_full_E,
     build_full_H,
     build_h_matrix,
-    isolated_endpoints,
     run_sweep,
     verify_aitken,
     verify_binomial,
@@ -340,9 +339,9 @@ def test_det_agrees_with_det_naive_on_random_shapes(problem):
 
 
 def test_isolated_endpoints_flagging():
-    assert isolated_endpoints(FOUR_ROW_SHAPE) == ()
+    assert FOUR_ROW_SHAPE.isolated_points == ()
     shape = make_skew([1, 1], [2, 1])
-    assert Node(2, 1) in isolated_endpoints(shape)
+    assert Node(2, 1) in shape.isolated_points
 
 
 def test_run_sweep_small_buckets():

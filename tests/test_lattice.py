@@ -1,19 +1,20 @@
 from pathlib import Path
 
-from skewlgv.identity import isolated_endpoints
 from skewlgv.lattice import (
     Node,
     build_L,
     build_R,
     endpoints,
-    isolated_points,
     render,
     topological_potential,
+    with_line_extreme_endpoints,
     with_selection,
 )
 from skewlgv.poly import Polynomial
 from skewlgv.shape import (
     IndexSelection,
+    composition_shapes,
+    is_row_connected,
     line_runs,
     make_skew,
     rectangle,
@@ -22,6 +23,17 @@ from skewlgv.shape import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def kind(e):
+    """An edge's direction, read off its two ends."""
+    if e.dst.i == e.src.i:
+        return "horizontal"
+    return "vertical" if e.dst.j == e.src.j else "diagonal"
+
+
+def edge_count(lat, k):
+    return sum(1 for e in lat.edges if kind(e) == k)
 
 
 def test_sources_and_sinks_of_six_row_configuration():
@@ -42,8 +54,8 @@ def test_unit_square():
     assert lat.nodes == {Node(0, 0), Node(0, 1), Node(1, 0), Node(1, 1)}
     assert lat.sources == (Node(0, 0),)
     assert lat.sinks == (Node(0, 1),)
-    assert lat.edge_count("horizontal") == 2
-    assert lat.edge_count("vertical") == 1
+    assert edge_count(lat, "horizontal") == 2
+    assert edge_count(lat, "vertical") == 1
 
 
 def test_unit_square_empty_selection_red():
@@ -77,13 +89,13 @@ def test_edge_weights_are_column_variables():
     shape = make_skew([0, 0], [2, 1])
     lat = build_L(shape, None)
     for e in lat.edges:
-        if e.kind == "vertical":
+        if kind(e) == "vertical":
             assert str(e.weight) == f"x{e.src.j}"
         else:
             assert e.weight == 1 or str(e.weight) == "1"
     red = build_R(shape, None)
     for e in red.edges:
-        if e.kind == "diagonal":
+        if kind(e) == "diagonal":
             assert str(e.weight) == f"x{e.src.j}"
             assert e.dst == Node(e.src.i + 1, e.src.j - 1)
 
@@ -97,8 +109,8 @@ def test_structural_invariants_exhaustive():
             red = build_R(shape, None)
             boxes = shape.box_count()
             assert lat.nodes == red.nodes
-            assert lat.edge_count("vertical") == boxes
-            assert red.edge_count("diagonal") == boxes
+            assert edge_count(lat, "vertical") == boxes
+            assert edge_count(red, "diagonal") == boxes
             assert topological_potential(lat)
             assert topological_potential(red)
             for e in lat.edges:
@@ -152,7 +164,7 @@ def test_successors_and_edge_weight_agree_with_edges():
             for lat in (build_L(shape, None), build_R(shape, None)):
                 for e in lat.edges:
                     assert lat.edge_weight(e.src, e.dst) is e.weight
-                    if e.kind == "horizontal":
+                    if kind(e) == "horizontal":
                         assert e.weight is Polynomial.one()
                 listed = {(e.src, e.dst) for e in lat.edges}
                 for u in lat.nodes:
@@ -165,10 +177,15 @@ def test_successors_and_edge_weight_agree_with_edges():
 def test_isolated_points_are_distinct_sorted_and_off_the_boxes():
     # row 2 spans columns 0..1 only, so (2, 2) and (2, 3) touch no box
     shape = make_skew([2, 0], [3, 1])
-    pts = [Node(2, 3), Node(0, 2), Node(2, 2), Node(2, 3), Node(1, 1)]
-    assert isolated_points(shape, pts) == (Node(2, 2), Node(2, 3))
-    assert isolated_points(shape, iter(pts)) == (Node(2, 2), Node(2, 3))
-    assert isolated_points(shape, ()) == ()
+    assert Node(2, 2) not in shape.corners and Node(2, 3) not in shape.corners
+    assert Node(0, 2) in shape.corners and Node(1, 1) in shape.corners
+    # rows 1 and 2 are empty: lines 0 and 1 each have one designated point,
+    # named twice, and line 2's right point (2, 2) lies past row 3's boxes
+    shape = make_skew([2, 2, 0], [2, 2, 1])
+    assert shape.isolated_points == (Node(0, 2), Node(1, 2), Node(2, 2))
+    sel = IndexSelection.make(3, [2, 1], [1, 2])
+    assert build_L(shape, sel).isolated_nodes == (Node(1, 2), Node(2, 2))
+    assert build_L(shape, None).isolated_nodes == ()
 
 
 def test_node_is_the_shape_point():
@@ -186,7 +203,7 @@ def test_endpoint_rule_single_source():
         sels = list(selections(n))
         full = IndexSelection.make(n, range(n + 1), range(n + 1))
         for shape in skew_shapes(n, 3):
-            assert isolated_endpoints(shape) == build_L(shape, full).isolated_nodes
+            assert shape.isolated_points == build_L(shape, full).isolated_nodes
             runs = [line_runs(shape, t) for t in range(n + 1)]
             for sel in sels:
                 for flavor in ("L", "R"):
@@ -198,3 +215,54 @@ def test_endpoint_rule_single_source():
                                 assert q == p
                                 compared += 1
     assert compared > 10_000
+
+
+def test_geometry_matches_per_box_recomputation():
+    # every composition shape with n <= 3 and parts <= 3, every selection,
+    # both endpoint rules: nodes, isolated nodes, the box rule and each
+    # step against a recomputation from the boxes alone
+    descents = {"L": (1, 0), "R": (1, -1)}
+    for n in range(1, 4):
+        sels = list(selections(n))
+        for shape in composition_shapes(n, 3):
+            alpha, beta = shape.alpha, shape.beta
+            boxes = {
+                (row, j)
+                for row in range(1, n + 1)
+                for j in range(alpha[row - 1] + 1, beta[row - 1] + 1)
+            }
+            corners = {Node(row + di, j + dj) for row, j in boxes for di in (-1, 0) for dj in (-1, 0)}
+            designated = {
+                p
+                for t in range(n + 1)
+                for p in (Node(t, alpha[min(t, n - 1)]), Node(t, beta[max(t - 1, 0)]))
+            }
+            assert shape.corners == corners
+            assert shape.isolated_points == tuple(sorted(designated - corners))
+            assert shape.row_connected == is_row_connected(shape)
+            # per-shape values are computed once
+            assert shape.corners is shape.corners
+            assert shape.isolated_points is shape.isolated_points
+            assert shape.row_connected is shape.row_connected
+            grid = [Node(i, j) for i in range(-1, n + 2) for j in range(-1, 6)]
+            for u in grid:
+                assert shape.has_box(u.i, u.j) == ((u.i, u.j) in boxes)
+            for base in (build_L(shape), build_R(shape)):
+                # a box in row r, column j carries the free steps along its
+                # top and bottom sides and one descent weighing x_j
+                dj = 1 if base.flavor == "L" else -1
+                di_d, dj_d = descents[base.flavor]
+                expected = {}
+                for row, j in boxes:
+                    start = j - 1 if dj == 1 else j
+                    for i in (row - 1, row):
+                        expected[Node(i, start), Node(i, start + dj)] = Polynomial.one()
+                    expected[Node(row - 1, j), Node(row - 1 + di_d, j + dj_d)] = Polynomial.variable(j)
+                read = {(u, v): w for u in grid for v, w in base.successors(u)}
+                assert read == expected
+                for sel in sels:
+                    for lat in (with_selection(base, sel), with_line_extreme_endpoints(base, sel)):
+                        ends = set(lat.sources) | set(lat.sinks)
+                        isolated = tuple(sorted(ends - corners))
+                        assert lat.isolated_nodes == isolated
+                        assert lat.nodes == corners | set(isolated)

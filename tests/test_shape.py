@@ -65,6 +65,16 @@ def test_boundary_part_interpretations():
 # --- parallelogram condition -------------------------------------------------
 
 
+def test_part_accessors_refuse_indices_outside_their_range():
+    s = make_skew([2, 1, 0], [3, 3, 1])
+    assert [s.alpha_part(i) for i in range(1, 5)] == [2, 1, 0, 0]
+    assert [s.beta_part(i) for i in range(4)] == [3, 3, 3, 1]
+    # one past each end; a negative index would wrap round to the last row
+    for part, i in ((s.alpha_part, 0), (s.alpha_part, 5), (s.beta_part, -1), (s.beta_part, 4)):
+        with pytest.raises(ShapeError, match="outside"):
+            part(i)
+
+
 def test_hypothesis_example_near_staircase():
     shape = make_skew([1, 1, 0, 0], [4, 3, 3, 2])
     sel = IndexSelection.make(4, [0, 1, 2], [1, 3, 4])
