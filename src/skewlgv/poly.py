@@ -1,13 +1,28 @@
 """Exact sparse multivariate polynomials over arbitrary-precision integers.
 
-A monomial is stored as a tuple of (variable index, exponent) pairs, sorted
-by variable index, with every exponent positive.  Variable index 0 is
-reserved for the distinguished variable q used by the Gaussian binomial
-coefficients; ordinary variables x1, x2, ... carry indices 1, 2, ...
+Variable index 0 is reserved for the distinguished variable q used by the
+Gaussian binomial coefficients; ordinary variables x1, x2, ... carry
+indices 1, 2, ...
 
-A polynomial maps monomials to nonzero integer coefficients, so two
-polynomials are equal exactly when their term maps are equal.  All values
-are immutable; every operation returns a fresh canonical polynomial.
+A monomial is stored packed into one non-negative int, its key: the
+exponent of variable v sits in bits [v*W, (v+1)*W) with W = FIELD_BITS =
+16, so the product of two monomials is the sum of their keys.  A key is as
+long as its highest variable index needs; there is no fixed number of
+fields.  Every exponent is at most MAX_EXPONENT = 2**15 - 1, which keeps
+the top bit of every field (its guard bit) clear in every stored key.  A
+sum of two keys therefore never carries from one field into the next, and
+an operation whose result would pass the bound raises OverflowError, naming
+the exponent and the bound, instead of wrapping.
+
+A polynomial maps keys to nonzero integer coefficients, so two polynomials
+are equal exactly when their term maps are equal.  All values are
+immutable; every operation returns a fresh canonical polynomial.
+
+Outside this module a monomial is a tuple of (variable index, exponent)
+pairs, sorted by variable index, with every exponent positive.  The
+constructor accepts that form (in any order, repeats adding), `terms` and
+`sorted_terms` return it, and `variables`, `total_degree`, `evaluate`,
+`substitute` and the text form decode keys to read it.
 
 Terms render in graded-lexicographic order (higher total degree first,
 ties broken towards lower variable indices), which keeps text output
@@ -17,14 +32,18 @@ stable for golden tests: ``x1*x2*x3 + 2*x2^2 - 1``.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from collections.abc import Iterator, Mapping
+from functools import lru_cache, reduce
+from operator import or_
+from typing import NamedTuple
 
 Monomial = tuple[tuple[int, int], ...]
 
 Q_INDEX = 0
 
-_EMPTY_MONOMIAL: Monomial = ()
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class MissingVariableError(ValueError):
@@ -46,29 +65,88 @@ class VarRange(NamedTuple):
         return max(0, self.hi - self.lo + 1)
 
 
-@lru_cache(maxsize=1 << 18)
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
+def _overflow(v: int, e: int) -> OverflowError:
+    return OverflowError(
+        f"exponent {e} of {_var_text(v)} exceeds the bound {MAX_EXPONENT}"
+    )
+
+
+def _power_key(v: int, e: int) -> int:
+    """Key of the monomial x_v^e."""
+    if e > MAX_EXPONENT:
+        raise _overflow(v, e)
+    return e << (v * FIELD_BITS)
+
+
+def _encode(m: Monomial) -> int:
+    """Key of a monomial given as (index, exponent) pairs in any order."""
+    exps: dict[int, int] = {}
+    for v, e in m:
+        if v < 0 or e < 0:
+            raise ValueError(f"negative variable index or exponent in {m}")
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    return sum(_power_key(v, e) for v, e in exps.items())
+
+
+def _decode(key: int) -> Monomial:
+    out = []
+    v = 0
+    while key:
+        e = key & _FIELD_MASK
+        if e:
+            out.append((v, e))
+        key >>= FIELD_BITS
+        v += 1
+    return tuple(out)
+
+
+def _guard_bits(key: int) -> int:
+    """The guard bits set in key, over as many fields as key spans."""
+    fields = -(-key.bit_length() // FIELD_BITS)
+    ones = ((1 << (fields * FIELD_BITS)) - 1) // _FIELD_MASK
+    return key & (ones << (FIELD_BITS - 1))
+
+
+def _check_exponents(terms: dict[int, int]) -> None:
+    """Raise OverflowError if some key holds an exponent past the bound;
+    the keys must not have carried from one field into the next."""
+    for key in terms:
+        if _guard_bits(key):
+            raise _overflow(*max(_decode(key), key=lambda ve: ve[1]))
 
 
 def _monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _display_key(m: Monomial):
+def _display_key(term: tuple[Monomial, int]):
     # graded-lex, descending degree; ties put weight on low indices first
-    return (-_monomial_degree(m), tuple((v, -e) for v, e in m))
+    m = term[0]
+    return (-_monomial_degree(m), [(v, -e) for v, e in m])
 
 
 def _var_text(v: int) -> str:
     return "q" if v == Q_INDEX else f"x{v}"
+
+
+class _TupleTerms(Mapping):
+    """Term map of a polynomial with its keys in tuple form, decoded as they
+    are read; a lookup refuses a malformed monomial as the constructor
+    does."""
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, packed: dict[int, int]):
+        self._packed = packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(_decode, self._packed)
+
+    def __getitem__(self, m: Monomial) -> int:
+        return self._packed[_encode(m)]
 
 
 class Polynomial:
@@ -79,22 +157,18 @@ class Polynomial:
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         """Polynomial with the given terms; a monomial may list variables in
         any order, repeated or with zero exponents, and like terms add.
-        Coefficients must be ints."""
-        acc: dict[Monomial, int] = {}
+        Coefficients must be ints; an exponent past MAX_EXPONENT raises
+        OverflowError."""
+        acc: dict[int, int] = {}
         for m, c in (terms or {}).items():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient of {m} is not an int: {c!r}")
-            exps: dict[int, int] = {}
-            for v, e in m:
-                if v < 0 or e < 0:
-                    raise ValueError(f"negative variable index or exponent in {m}")
-                exps[v] = exps.get(v, 0) + e
-            key = tuple(sorted((v, e) for v, e in exps.items() if e))
+            key = _encode(m)
             acc[key] = acc.get(key, 0) + c
-        self._terms: dict[Monomial, int] = {m: c for m, c in acc.items() if c}
+        self._terms: dict[int, int] = {m: c for m, c in acc.items() if c}
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> "Polynomial":
+    def _raw(cls, terms: dict[int, int]) -> "Polynomial":
         # internal: terms already canonical, adopted without copying
         p = object.__new__(cls)
         p._terms = terms
@@ -112,7 +186,7 @@ class Polynomial:
     def integer(cls, c: int) -> "Polynomial":
         if c == 0:
             return _ZERO
-        return cls._raw({_EMPTY_MONOMIAL: c})
+        return cls._raw({0: c})
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
@@ -126,7 +200,7 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
-        return self._terms
+        return _TupleTerms(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -142,7 +216,11 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        t = self._terms
+        # a constant equals its int, so it hashes like it
+        if not t or (len(t) == 1 and 0 in t):
+            return hash(t.get(0, 0))
+        return hash(frozenset(t.items()))
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
@@ -197,15 +275,19 @@ class Polynomial:
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        out: dict[Monomial, int] = {}
+        # The OR of a term map's keys bounds each of its exponents, so the
+        # product's exponents stay within the bound unless the two ORs'
+        # sum sets a guard bit; only then are its keys checked one by one.
+        near_bound = _guard_bits(reduce(or_, a) + reduce(or_, b))
+        out: dict[int, int] = {}
+        get = out.get
         for m2, c2 in b.items():
             for m1, c1 in a.items():
-                m = _mul_monomials(m1, m2)
-                nc = out.get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                elif m in out:
-                    del out[m]
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        out = {m: c for m, c in out.items() if c}
+        if near_bound:
+            _check_exponents(out)
         return Polynomial._raw(out)
 
     __rmul__ = __mul__
@@ -226,24 +308,20 @@ class Polynomial:
 
     def variables(self) -> set[int]:
         """Indices of all variables that actually occur."""
-        out: set[int] = set()
-        for m in self._terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for v, _ in _decode(reduce(or_, self._terms, 0))}
 
     def total_degree(self) -> int:
         """Maximum total degree over the terms; 0 for the zero polynomial."""
         if not self._terms:
             return 0
-        return max(_monomial_degree(m) for m in self._terms)
+        return max(_monomial_degree(_decode(m)) for m in self._terms)
 
     def evaluate(self, values: Mapping[int, int]) -> int:
         """Exact integer evaluation; every occurring variable needs a value."""
         total = 0
         for m, c in self._terms.items():
             term = c
-            for v, e in m:
+            for v, e in _decode(m):
                 if v not in values:
                     raise MissingVariableError(
                         f"no value assigned to {_var_text(v)}"
@@ -266,7 +344,7 @@ class Polynomial:
         acc = _ZERO
         for m, c in self._terms.items():
             term = Polynomial.integer(c)
-            for v, e in m:
+            for v, e in _decode(m):
                 if v not in images:
                     raise MissingVariableError(
                         f"no substitution given for {_var_text(v)}"
@@ -282,7 +360,10 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the display order (graded-lex, descending)."""
-        return sorted(self._terms.items(), key=lambda mc: _display_key(mc[0]))
+        terms = [(_decode(m), c) for m, c in self._terms.items()]
+        if len(terms) > 1:
+            terms.sort(key=_display_key)
+        return terms
 
     def __str__(self) -> str:
         if not self._terms:
@@ -310,33 +391,29 @@ class Polynomial:
 
 
 _ZERO = Polynomial._raw({})
-_ONE = Polynomial._raw({_EMPTY_MONOMIAL: 1})
+_ONE = Polynomial._raw({0: 1})
 
 
 @lru_cache(maxsize=None)
 def _variable_cached(index: int) -> Polynomial:
-    return Polynomial._raw({((index, 1),): 1})
-
-
-def _monomial_from_multiset(combo: Iterable[int]) -> Monomial:
-    return tuple((v, len(list(g))) for v, g in itertools.groupby(combo))
+    return Polynomial._raw({_power_key(index, 1): 1})
 
 
 @lru_cache(maxsize=None)
 def _h_cached(d: int, lo: int, hi: int) -> Polynomial:
+    if d > MAX_EXPONENT:
+        raise _overflow(lo, d)
+    units = [1 << (v * FIELD_BITS) for v in range(lo, hi + 1)]
     terms = {
-        _monomial_from_multiset(combo): 1
-        for combo in itertools.combinations_with_replacement(range(lo, hi + 1), d)
+        sum(combo): 1 for combo in itertools.combinations_with_replacement(units, d)
     }
     return Polynomial._raw(terms)
 
 
 @lru_cache(maxsize=None)
 def _e_cached(d: int, lo: int, hi: int) -> Polynomial:
-    terms = {
-        tuple((v, 1) for v in combo): 1
-        for combo in itertools.combinations(range(lo, hi + 1), d)
-    }
+    units = [1 << (v * FIELD_BITS) for v in range(lo, hi + 1)]
+    terms = {sum(combo): 1 for combo in itertools.combinations(units, d)}
     return Polynomial._raw(terms)
 
 
@@ -385,7 +462,7 @@ def substitute(
 def _q_power(e: int) -> Polynomial:
     if e == 0:
         return _ONE
-    return Polynomial._raw({((Q_INDEX, e),): 1})
+    return Polynomial._raw({_power_key(Q_INDEX, e): 1})
 
 
 def qbinom(n: int, k: int) -> Polynomial:

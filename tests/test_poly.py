@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewlgv import poly
 from skewlgv.poly import (
     MissingVariableError,
     Polynomial,
@@ -130,6 +131,25 @@ def test_eq_means_term_maps_equal(p, q):
     assert (p == q) == (dict(p.terms) == dict(q.terms))
     if p == q:
         assert hash(p) == hash(q)
+
+
+@pytest.mark.parametrize("c", [0, 1, -7, 2**70])
+def test_constant_hashes_like_its_int(c):
+    for p in (Polynomial.integer(c), Polynomial({((1, 0), (3, 0)): c})):
+        assert p == c
+        assert hash(p) == hash(c)
+    assert {c: "found"}[Polynomial.integer(c)] == "found"
+
+
+def test_equal_polynomials_built_differently_hash_alike():
+    built = [
+        Polynomial({((2, 1), (1, 2), (1, 1)): 2, ((0, 1), (3, 1)): -1}),
+        (2 * X1**3) * X2 - Q * X3,
+        X1**3 * X2 + (X1 * X1**2 * X2 - Q * X3),
+    ]
+    for p in built[1:]:
+        assert p == built[0]
+        assert hash(p) == hash(built[0])
 
 
 def test_constructor_canonicalizes_monomials():
@@ -302,3 +322,137 @@ def test_str_signs_and_elisions():
 def test_str_graded_lex_order():
     p = X2**2 + X1 * X2 + X1**2 + X1 + 1
     assert str(p) == "x1^2 + x1*x2 + x2^2 + x1 + 1"
+
+
+# --- packed monomials: exponent bound and a tuple oracle ---------------------
+
+# the documented exponent bound: 16-bit fields, the top bit of each a guard
+EXPONENT_BOUND = 2**15 - 1
+
+
+def test_exponent_bound_is_documented_value():
+    assert poly.MAX_EXPONENT == EXPONENT_BOUND
+
+
+@pytest.mark.parametrize("e", [EXPONENT_BOUND + 1, 70000])
+def test_constructor_refuses_exponent_past_bound(e):
+    with pytest.raises(OverflowError, match=rf"\b{e}\b.*\b{EXPONENT_BOUND}\b"):
+        Polynomial({((1, e),): 1})
+    # repeated indices add before the bound applies
+    with pytest.raises(OverflowError, match=rf"\b{e}\b"):
+        Polynomial({((1, e - 1), (1, 1)): 1})
+
+
+def test_constructor_accepts_exponent_at_bound():
+    p = Polynomial({((1, EXPONENT_BOUND - 1), (1, 1)): 1})
+    assert str(p) == f"x1^{EXPONENT_BOUND}"
+    assert p == X1**EXPONENT_BOUND
+
+
+@pytest.mark.parametrize("index", [0, 1, 17, 300])
+def test_product_and_power_at_and_past_bound(index):
+    x = Polynomial.variable(index)
+    name = "q" if index == 0 else f"x{index}"
+    at_bound = x**EXPONENT_BOUND
+    assert str(at_bound) == f"{name}^{EXPONENT_BOUND}"
+    assert x ** (EXPONENT_BOUND // 2) * x ** (EXPONENT_BOUND - EXPONENT_BOUND // 2) == at_bound
+    past = rf"\b{EXPONENT_BOUND + 1}\b of {name} .*\b{EXPONENT_BOUND}\b"
+    with pytest.raises(OverflowError, match=past):
+        at_bound * x
+    with pytest.raises(OverflowError, match=past):
+        x ** (EXPONENT_BOUND + 1)
+    # a field past the bound next to fields well within it
+    with pytest.raises(OverflowError, match=past):
+        (at_bound * X2 + X3) * (x * X2)
+
+
+def test_product_of_high_index_variables():
+    x300 = Polynomial.variable(300)
+    assert str(x300 * x300) == "x300^2"
+    assert (x300 * X1) * (x300 * Q) == Polynomial({((0, 1), (1, 1), (300, 2)): 1})
+
+
+def test_product_near_bound_checks_exact_exponents():
+    # the OR of the left operand's keys reaches the bound although no
+    # exponent of the product passes it
+    p = X1 ** (2**14) + X1 ** (2**14 - 1)
+    assert p * X1 == X1 ** (2**14 + 1) + X1 ** (2**14)
+
+
+def test_h_poly_exponent_bound():
+    assert h_poly(EXPONENT_BOUND, VarRange(2, 2)) == X2**EXPONENT_BOUND
+    with pytest.raises(OverflowError, match=rf"\b{EXPONENT_BOUND + 1}\b of x2\b"):
+        h_poly(EXPONENT_BOUND + 1, VarRange(2, 3))
+
+
+def oracle_canonical(pairs) -> tuple:
+    exps: dict[int, int] = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def oracle_clean(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c}
+
+
+def oracle_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return oracle_clean(out)
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = oracle_canonical(m1 + m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return oracle_clean(out)
+
+
+def oracle_pow(a: dict, k: int) -> dict:
+    out = {(): 1}
+    for _ in range(k):
+        out = oracle_mul(out, a)
+    return out
+
+
+def check_against_oracle(compute, expected: dict) -> None:
+    """compute() gives the oracle's terms, or raises OverflowError exactly
+    when some exponent of the oracle's result passes the bound."""
+    if any(e > EXPONENT_BOUND for m in expected for _, e in m):
+        with pytest.raises(OverflowError):
+            compute()
+    else:
+        got = compute()
+        assert dict(got.terms) == expected
+        assert len(got.terms) == len(expected)
+
+
+variable_indices = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 45))
+exponents = st.one_of(
+    st.integers(1, 3),
+    st.integers(EXPONENT_BOUND // 2 - 2, EXPONENT_BOUND // 2 + 2),
+    st.integers(EXPONENT_BOUND - 2, EXPONENT_BOUND),
+)
+oracle_terms = st.dictionaries(
+    st.dictionaries(variable_indices, exponents, max_size=3).map(
+        lambda exps: tuple(sorted(exps.items()))
+    ),
+    st.one_of(small_ints, st.just(2**70)),
+    max_size=4,
+).map(oracle_clean)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oracle_terms, oracle_terms, st.integers(0, 3))
+def test_arithmetic_against_tuple_oracle(a, b, k):
+    pa, pb = Polynomial(a), Polynomial(b)
+    assert dict(pa.terms) == a
+    assert Polynomial(pa.terms) == pa
+    check_against_oracle(lambda: pa * pb, oracle_mul(a, b))
+    check_against_oracle(lambda: pa + pb, oracle_add(a, b))
+    check_against_oracle(lambda: pa - pb, oracle_add(a, b, -1))
+    check_against_oracle(lambda: pa**k, oracle_pow(a, k))
