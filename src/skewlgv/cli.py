@@ -170,9 +170,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"complementary walk failed: shape alpha={list(shape.alpha)} "
             f"beta={list(shape.beta)} is not row-connected"
         )
-    l_lat = build_L(shape, sel)
-    r_lat = build_R(shape, sel)
-    lat = l_lat if args.flavor == "L" else r_lat
+    lat = build_L(shape, sel) if args.flavor == "L" else build_R(shape, sel)
+    r_lat = build_R(shape, sel) if args.complement else None
     items = conn.enumerate_connectors(lat, disjoint_only=args.disjoint, cap=cap)
     disjoint = [c.is_disjoint() for c in items]
     total = Polynomial.zero()
@@ -189,7 +188,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         }
         if args.complement:
             payload["complements"] = [
-                _connector_dict(conn.complementary(c, l_lat, r_lat))
+                _connector_dict(conn.complementary(c, r_lat))
                 for c, ok in zip(items, disjoint)
                 if ok
             ]
@@ -198,7 +197,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     for idx, (c, ok) in enumerate(zip(items, disjoint), start=1):
         _print_connector(idx, c)
         if args.complement and ok:
-            red = conn.complementary(c, l_lat, r_lat)
+            red = conn.complementary(c, r_lat)
             print("  complementary:")
             _print_connector(idx, red, indent="  ")
     print(f"{len(items)} connectors, disjoint weight sum: {total}")
@@ -354,7 +353,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComplementError as exc:
-        # happens only on degenerate diagrams with gapped rows
+        # cmd_enumerate refuses shapes that strand the walk up front, so
+        # reaching this means the walk broke its contract
         print(f"complementary walk failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationCapError as exc:

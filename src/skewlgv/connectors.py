@@ -10,11 +10,13 @@ combinatorial explosion; it is checked on the lattice's path counts before
 any path is built.
 
 The bijection sends a vertex-disjoint blue connector to the red connector
-obtained by walking from each red source, taking the free step except at
+obtained by walking R from each red source, taking the free step except at
 nodes where the blue connector descends, where the red walk descends too
 (the two descents cross the same box, hence carry the same weight).  The
-inverse construction swaps the roles of the colors.  The step directions
-and the path counts belong to ``lattice``; this module only walks them.
+inverse construction walks L from the descents of a red connector.  Either
+way the complement takes one connector and the one lattice it walks, and
+refuses a lattice of the connector's own color.  The step directions and
+the path counts belong to ``lattice``; this module only walks them.
 """
 
 from __future__ import annotations
@@ -85,18 +87,10 @@ class Connector:
     def is_disjoint(self) -> bool:
         return _disjoint(self.paths)
 
-    def vertical_step_nodes(self) -> frozenset[Node]:
-        """Nodes from which some path steps straight down."""
-        return self._descent_nodes("blue")
-
-    def diagonal_step_nodes(self) -> frozenset[Node]:
-        """Nodes from which some path steps down and to the left."""
-        return self._descent_nodes("red")
-
-    def _descent_nodes(self, color: str) -> frozenset[Node]:
+    def descent_nodes(self) -> frozenset[Node]:
+        """Nodes from which some path descends: straight down on L, down
+        and to the left on R."""
         # each lattice has one descent, the only step that changes rows
-        if self.flavor != color:
-            return frozenset()
         return frozenset(u for p in self.paths for u, v in p.steps() if v.i != u.i)
 
 
@@ -210,12 +204,14 @@ def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) 
     cur = start
     while cur != stop_at:
         descend = cur in divert_at
-        nxt = lat.step(cur, descend)
-        w = lat.edge_weight(cur, nxt)
-        if w is None:
+        # the descent is the only step that changes rows
+        for nxt, w in lat.successors(cur):
+            if (nxt.i != cur.i) == descend:
+                break
+        else:
             if descend:
                 raise ComplementError(
-                    f"required {lat.flavor}-step {cur} -> {nxt} is missing"
+                    f"required {lat.flavor}-descent from {cur} is missing"
                 )
             break  # stranded; _complement's contract check reports it
         weight = weight * w
@@ -224,9 +220,13 @@ def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) 
     return Path(tuple(nodes), weight)
 
 
-def _complement(divert_at: frozenset[Node], target: Lattice) -> Connector:
+def _complement(c: Connector, target: Lattice) -> Connector:
     """The connector of target's color that walks from each of target's
-    sources, descending exactly at the nodes of divert_at."""
+    sources, descending exactly where c descends."""
+    color = _COLORS[target.flavor]
+    if color == c.flavor:
+        raise ValueError(f"a {c.flavor} connector has no complement on {target.flavor}")
+    divert_at = c.descent_nodes()
     paths = tuple(
         _walk(src, snk, divert_at, target)
         for src, snk in zip(target.sources, target.sinks)
@@ -239,25 +239,21 @@ def _complement(divert_at: frozenset[Node], target: Lattice) -> Connector:
             raise ComplementError(
                 f"walk ended at {p.nodes[-1]}, expected sink {expected}"
             )
-    return Connector(paths, weight, _COLORS[target.flavor])
+    return Connector(paths, weight, color)
 
 
-def complementary(
-    blue: Connector, l_lat: Lattice, r_lat: Lattice
-) -> Connector:
-    """Red connector complementary to a vertex-disjoint blue connector."""
+def complementary(blue: Connector, r_lat: Lattice) -> Connector:
+    """Red connector on r_lat complementary to a disjoint blue connector."""
     if blue.flavor != "blue":
         raise ValueError("complementary expects a blue connector")
-    return _complement(blue.vertical_step_nodes(), r_lat)
+    return _complement(blue, r_lat)
 
 
-def complementary_inverse(
-    red: Connector, l_lat: Lattice, r_lat: Lattice
-) -> Connector:
-    """Blue connector whose complement is the given red connector."""
+def complementary_inverse(red: Connector, l_lat: Lattice) -> Connector:
+    """Blue connector on l_lat whose complement is the given red one."""
     if red.flavor != "red":
         raise ValueError("complementary_inverse expects a red connector")
-    return _complement(red.diagonal_step_nodes(), l_lat)
+    return _complement(red, l_lat)
 
 
 def intersection_nodes(c1: Connector, c2: Connector) -> frozenset[Node]:

@@ -96,12 +96,6 @@ class Lattice:
             steps = self._steps[u] = self._read_steps(u)
         return steps
 
-    def step(self, u: Node, descend: bool) -> Node:
-        """The node one free step (or one descent) away from u, whether or
-        not the diagram holds that edge."""
-        di, dj = STEPS[self.flavor][descend]
-        return Node(u.i + di, u.j + dj)
-
     @cached_property
     def _steps(self) -> dict[Node, tuple[tuple[Node, Polynomial], ...]]:
         # successors read so far; path walks revisit the same nodes often
@@ -143,13 +137,6 @@ class Lattice:
                     if u != snk:
                         counts[u] = sum(counts.get(v, 0) for v, _ in self.successors(u))
         return counts
-
-    def edge_weight(self, u: Node, v: Node) -> Polynomial | None:
-        """Weight of the edge u -> v, or None when absent."""
-        for w, weight in self.successors(u):
-            if w == v:
-                return weight
-        return None
 
     @cached_property
     def isolated_nodes(self) -> tuple[Node, ...]:

@@ -148,15 +148,15 @@ def _bijection_case(res, key, blues, red_lists, lat, red_lat, sel):
     images = []
     try:
         for blue in blues:
-            red = complementary(blue, lat, red_lat)
+            red = complementary(blue, red_lat)
             if red.weight != blue.weight:
                 raise AssertionError("weight not preserved")
-            if complementary_inverse(red, lat, red_lat) != blue:
+            if complementary_inverse(red, lat) != blue:
                 raise AssertionError("round trip failed")
             shared = intersection_nodes(blue, red)
-            if shared != blue.vertical_step_nodes():
+            if shared != blue.descent_nodes():
                 raise AssertionError("intersections are not the descent nodes")
-            if shared != red.diagonal_step_nodes():
+            if shared != red.descent_nodes():
                 raise AssertionError("descents and diagonals disagree")
             if len(shared) != sum(sel.b_set) - sum(sel.a_set):
                 raise AssertionError("intersection count is not sum(B)-sum(A)")

@@ -161,6 +161,16 @@ def test_enumerate_with_complements(capsys):
         assert red["flavor"] == "red"
 
 
+def test_enumerate_complement_matches_golden(capsys):
+    argv = ["enumerate", *FOUR_ROW, "--flavor", "L", "--disjoint", "--complement"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (DATA / "enumerate_complement.txt").read_text()
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert code == 0
+    assert out == (DATA / "enumerate_complement.json").read_text()
+
+
 def test_enumerate_complement_on_gapped_shape_exits_cleanly(capsys):
     argv = [
         "enumerate",

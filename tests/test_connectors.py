@@ -4,12 +4,14 @@ import pytest
 
 from skewlgv.connectors import (
     ComplementError,
+    Connector,
     EnumerationCapError,
     complementary,
     complementary_inverse,
     connector_sum,
     enumerate_connectors,
     enumerate_paths,
+    Path,
     intersection_nodes,
     tuple_count,
     weighted_path_count,
@@ -190,7 +192,7 @@ def test_all_horizontal_complement():
     lat = build_L(FOUR_ROW_SHAPE, sel)
     red_lat = build_R(FOUR_ROW_SHAPE, sel)
     blue = enumerate_connectors(lat, disjoint_only=True)[0]
-    red = complementary(blue, lat, red_lat)
+    red = complementary(blue, red_lat)
     for p in red.paths:
         assert all(u.i == v.i for u, v in p.steps())
     assert red.weight == Polynomial.one()
@@ -202,9 +204,9 @@ def test_empty_connector_roundtrip():
     red_lat = build_R(FOUR_ROW_SHAPE, sel)
     blues = enumerate_connectors(lat, disjoint_only=True)
     assert len(blues) == 1
-    red = complementary(blues[0], lat, red_lat)
+    red = complementary(blues[0], red_lat)
     assert red.paths == ()
-    assert complementary_inverse(red, lat, red_lat) == blues[0]
+    assert complementary_inverse(red, lat) == blues[0]
 
 
 def bijection_suite(shape, sel, lat=None, red_lat=None):
@@ -214,7 +216,7 @@ def bijection_suite(shape, sel, lat=None, red_lat=None):
         red_lat = build_R(shape, sel)
     blues = enumerate_connectors(lat, disjoint_only=True)
     reds = enumerate_connectors(red_lat, disjoint_only=True)
-    images = [complementary(b, lat, red_lat) for b in blues]
+    images = [complementary(b, red_lat) for b in blues]
     # weight-preserving injection onto the red side, with inverse
     assert [b.weight for b in blues] == [r.weight for r in images]
 
@@ -224,10 +226,10 @@ def bijection_suite(shape, sel, lat=None, red_lat=None):
     assert len({key(r) for r in images}) == len(images)
     assert sorted(key(r) for r in images) == sorted(key(r) for r in reds)
     for b, r in zip(blues, images):
-        assert complementary_inverse(r, lat, red_lat) == b
+        assert complementary_inverse(r, lat) == b
         shared = intersection_nodes(b, r)
-        assert shared == b.vertical_step_nodes()
-        assert shared == r.diagonal_step_nodes()
+        assert shared == b.descent_nodes()
+        assert shared == r.descent_nodes()
         assert len(shared) == sum(sel.b_set) - sum(sel.a_set)
 
 
@@ -274,8 +276,8 @@ def test_lemma_intersections_only_at_descents():
             lat = build_L(shape, sel)
             red_lat = build_R(shape, sel)
             for blue in enumerate_connectors(lat, disjoint_only=True):
-                red = complementary(blue, lat, red_lat)
-                down = blue.vertical_step_nodes()
+                red = complementary(blue, red_lat)
+                down = blue.descent_nodes()
                 for node in intersection_nodes(blue, red):
                     assert node in down
 
@@ -334,10 +336,30 @@ def test_complementary_rejects_wrong_flavor():
     red_lat = build_R(FOUR_ROW_SHAPE, sel)
     red = enumerate_connectors(red_lat, disjoint_only=True)[0]
     with pytest.raises(ValueError):
-        complementary(red, lat, red_lat)
+        complementary(red, red_lat)
     blue = enumerate_connectors(lat, disjoint_only=True)[0]
     with pytest.raises(ValueError):
-        complementary_inverse(blue, lat, red_lat)
+        complementary_inverse(blue, lat)
+    # a lattice of the connector's own color is refused, not walked back
+    # onto the connector itself
+    lat = build_L(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
+    red_lat = build_R(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
+    blue = enumerate_connectors(lat, disjoint_only=True)[0]
+    red = complementary(blue, red_lat)
+    with pytest.raises(ValueError):
+        complementary(blue, lat)
+    with pytest.raises(ValueError):
+        complementary_inverse(red, red_lat)
+
+
+def test_complement_reports_a_missing_forced_descent():
+    # R has no descent from (0, 1) here: the box beneath it is not in the
+    # diagram, so a blue connector descending there has no complement
+    red_lat = build_R(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
+    step = Path((Node(0, 1), Node(1, 1)), Polynomial.variable(1))
+    blue = Connector((step,), step.weight, "blue")
+    with pytest.raises(ComplementError, match=r"R-descent from Node\(i=0, j=1\)"):
+        complementary(blue, red_lat)
 
 
 def test_complement_contract_violation_on_degenerate_shape():
@@ -350,4 +372,4 @@ def test_complement_contract_violation_on_degenerate_shape():
     blues = enumerate_connectors(lat, disjoint_only=True)
     assert len(blues) == 1
     with pytest.raises(ComplementError):
-        complementary(blues[0], lat, red_lat)
+        complementary(blues[0], red_lat)
