@@ -2,8 +2,10 @@
 integer-matrix utilities (determinant, adjugate, complementary-minor check).
 
 Matrices are tabulated from an entry function over row and column labels.
-The polynomial and the integer determinant share one row expansion,
-memoised on the set of surviving columns, which costs O(2^n * n) ring
+One row expansion, ``minors``, computes every minor of an entry grid: it
+is memoised on the pair of row and column bitmasks, so all the minors of
+one grid share their sub-minors.  The polynomial and the integer
+determinant are its full minor, which costs O(2^n * n) ring
 multiplications -- far below the n! of the Leibniz sum kept here as an
 independent oracle.
 """
@@ -93,42 +95,51 @@ class PolyMatrix:
         return self.rows == self.cols
 
 
-def _expand(entries: Sequence, n: int, one, zero):
-    """Determinant of the row-major n x n entry list by row expansion,
-    memoised on the set of surviving columns.  Works over any ring whose
-    zero is falsy; zero entries are skipped."""
+def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]:
+    """Minor function of the row-major n x n entry list: ``minor(rows,
+    cols)`` is the determinant of the submatrix on the row and column
+    bitmasks, which must hold equally many bits; the empty minor is one.
+
+    Each minor is expanded along the lowest row of its row mask and
+    memoised on the (row mask, column mask) pair, so minors requested
+    through one function share their sub-minors.  Entries are read by
+    index, only where the expansion reaches them.  Works over any ring
+    whose zero is falsy; zero entries are skipped."""
     memo: dict = {}
 
-    def expand(mask: int, row: int):
-        if mask == 0:
+    def minor(rows: int, cols: int):
+        if not rows:
             return one
-        cached = memo.get(mask)
+        key = rows << n | cols
+        cached = memo.get(key)
         if cached is not None:
             return cached
+        low_row = rows & -rows
+        base = (low_row.bit_length() - 1) * n
+        rows ^= low_row
         acc = zero
         sign = 1
-        base = row * n
-        rest = mask
+        rest = cols
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            e = entries[base + j]
+            e = entries[base + low.bit_length() - 1]
             if e:
-                term = e * expand(mask ^ low, row + 1)
+                term = e * minor(rows, cols ^ low)
                 acc = acc + (-term if sign < 0 else term)
             sign = -sign
             rest ^= low
-        memo[mask] = acc
+        memo[key] = acc
         return acc
 
-    return expand((1 << n) - 1, 0)
+    return minor
 
 
 def det(m: PolyMatrix) -> Polynomial:
     """Exact determinant; the empty 0x0 matrix has determinant 1."""
     if not m.is_square():
         raise NonSquareMatrixError(f"matrix is {m.rows}x{m.cols}")
-    return _expand(m.entries, m.rows, Polynomial.one(), Polynomial.zero())
+    full = (1 << m.rows) - 1
+    return minors(m.entries, m.rows, Polynomial.one(), Polynomial.zero())(full, full)
 
 
 def det_naive(m: PolyMatrix) -> Polynomial:
@@ -190,7 +201,8 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquareMatrixError("integer matrix is not square")
-    return _expand([x for r in rows for x in r], n, 1, 0)
+    full = (1 << n) - 1
+    return minors([x for r in rows for x in r], n, 1, 0)(full, full)
 
 
 def int_submatrix(

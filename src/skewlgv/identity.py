@@ -13,6 +13,10 @@ sufficient but not necessary and the sweep deliberately records what
 happens beyond it.  A report also carries two facts of the shape alone,
 its isolated designated points and its row-connectedness, which the shape
 computes once however many selections are verified on it.
+
+``ShapeCheck`` verifies any number of selections of one shape, computing
+each h/e minor at most once; ``verify_main`` is its one-selection use and
+``run_sweep`` builds one per shape.
 """
 
 from __future__ import annotations
@@ -20,18 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import connectors as conn
-from .detring import PolyMatrix, det
+from .detring import PolyMatrix, det, minors
 from .lattice import build_L, build_R
 from .poly import Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
-    HypothesisCheck,
     IndexSelection,
     Node,
     SkewShape,
-    parallelogram_hypothesis,
+    parallelogram_clause,
     rectangle,
     selections,
     skew_shapes,
@@ -87,6 +90,74 @@ class VerificationReport:
     row_connected: bool = True
 
 
+class _LazyGrid(dict):
+    """Row-major grid of the given width whose entry k is f(row, col),
+    computed on first read."""
+
+    def __init__(self, f: Callable[[int, int], object], width: int):
+        super().__init__()
+        self.f = f
+        self.width = width
+
+    def __missing__(self, k: int):
+        value = self[k] = self.f(*divmod(k, self.width))
+        return value
+
+
+class ShapeCheck:
+    """The duality checks of one shape, sharing their work across selections.
+
+    Every h-matrix of the shape is the minor of the (n+1) x (n+1) grid of
+    ``entry_h`` on rows A and columns B, and every e-matrix the minor of
+    the grid of ``entry_e`` on rows A^c and columns B^c.  Each side keeps
+    one minor function over its grid, so a minor is computed at most once
+    per shape, and a grid entry only when an expansion first reads it.
+    The grid ``clauses`` holds ``parallelogram_clause(shape, a', b')`` at
+    a' * (n+1) + b', each computed on first read.
+    """
+
+    def __init__(self, shape: SkewShape):
+        self.shape = shape
+        width = shape.n + 1
+        one, zero = Polynomial.one(), Polynomial.zero()
+        self.minor_h = minors(_LazyGrid(partial(entry_h, shape), width), width, one, zero)
+        self.minor_e = minors(_LazyGrid(partial(entry_e, shape), width), width, one, zero)
+        self.clauses = _LazyGrid(partial(parallelogram_clause, shape), width)
+
+    def violations(self, sel: IndexSelection) -> tuple[tuple[int, int], ...]:
+        """The pairs of A^c x B^c whose clause fails, as
+        ``parallelogram_hypothesis`` lists them; reads no minor."""
+        clauses, width = self.clauses, self.shape.n + 1
+        return tuple(
+            (a_p, b_p)
+            for a_p in sel.a_comp
+            for b_p in sel.b_comp
+            if not clauses[a_p * width + b_p]
+        )
+
+    def report(self, sel: IndexSelection) -> VerificationReport:
+        """Both determinants of one selection, without brute-force sums."""
+        a_set, b_set, a_comp, b_comp = sel.masks
+        violations = self.violations(sel)
+        dh = self.minor_h(a_set, b_set)
+        de = self.minor_e(a_comp, b_comp)
+        shape = self.shape
+        return VerificationReport(
+            n=shape.n,
+            alpha=shape.alpha,
+            beta=shape.beta,
+            a_set=sel.a_set,
+            b_set=sel.b_set,
+            hypothesis_ok=not violations,
+            violating_pairs=violations,
+            det_h=dh,
+            det_e=de,
+            equal=dh == de,
+            isolated=shape.isolated_points,
+            row_connected=shape.row_connected,
+        )
+
+
 def verify_main(
     shape: SkewShape,
     sel: IndexSelection,
@@ -100,29 +171,11 @@ def verify_main(
         l_lat, r_lat = build_L(shape, sel), build_R(shape, sel)
         conn.check_tuple_cap(l_lat, cap)
         conn.check_tuple_cap(r_lat, cap)
-    hyp: HypothesisCheck = parallelogram_hypothesis(shape, sel)
-    dh = det(build_h_matrix(shape, sel))
-    de = det(build_e_matrix(shape, sel))
-    brute_blue = brute_red = None
+    report = ShapeCheck(shape).report(sel)
     if with_brute:
-        brute_blue = conn.connector_sum(l_lat, cap=cap)
-        brute_red = conn.connector_sum(r_lat, cap=cap)
-    return VerificationReport(
-        n=shape.n,
-        alpha=shape.alpha,
-        beta=shape.beta,
-        a_set=sel.a_set,
-        b_set=sel.b_set,
-        hypothesis_ok=hyp.ok,
-        violating_pairs=hyp.violations,
-        det_h=dh,
-        det_e=de,
-        equal=dh == de,
-        brute_blue=brute_blue,
-        brute_red=brute_red,
-        isolated=shape.isolated_points,
-        row_connected=shape.row_connected,
-    )
+        report.brute_blue = conn.connector_sum(l_lat, cap=cap)
+        report.brute_red = conn.connector_sum(r_lat, cap=cap)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -296,30 +349,26 @@ class SweepSummary:
                 self.fails_unequal += 1
 
 
-def sweep_cases(
-    max_n: int, max_part: int
-) -> Iterator[tuple[SkewShape, IndexSelection]]:
-    """All (shape, selection) verification cases, in deterministic order."""
-    for n in range(1, max_n + 1):
-        for shape in skew_shapes(n, max_part):
-            for sel in selections(n):
-                yield shape, sel
-
-
 def run_sweep(
     max_n: int,
     max_part: int,
     hypothesis_only: bool = False,
     per_case: Callable[[VerificationReport], None] | None = None,
 ) -> SweepSummary:
-    """Verify every case; with hypothesis_only, skip cases whose
-    parallelogram check fails (their determinants are not computed)."""
+    """Verify every case, shapes by n and then every selection of each
+    shape, through one ``ShapeCheck`` per shape; with hypothesis_only, skip
+    cases whose parallelogram check fails (their determinants are not
+    computed)."""
     summary = SweepSummary(max_n, max_part, hypothesis_only)
-    for shape, sel in sweep_cases(max_n, max_part):
-        if hypothesis_only and not parallelogram_hypothesis(shape, sel).ok:
-            continue
-        report = verify_main(shape, sel)
-        summary.bucket(report)
-        if per_case is not None:
-            per_case(report)
+    for n in range(1, max_n + 1):
+        sels = list(selections(n))
+        for shape in skew_shapes(n, max_part):
+            check = ShapeCheck(shape)
+            for sel in sels:
+                if hypothesis_only and check.violations(sel):
+                    continue
+                report = check.report(sel)
+                summary.bucket(report)
+                if per_case is not None:
+                    per_case(report)
     return summary

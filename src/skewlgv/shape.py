@@ -193,6 +193,13 @@ class IndexSelection:
     ) -> "IndexSelection":
         return cls(n=n, a_set=tuple(sorted(a_set)), b_set=tuple(sorted(b_set)))
 
+    @cached_property
+    def masks(self) -> tuple[int, int, int, int]:
+        """A, B, A^c and B^c as bitmasks over {0, ..., n}."""
+        return tuple(
+            sum(1 << x for x in s) for s in (self.a_set, self.b_set, self.a_comp, self.b_comp)
+        )
+
     @property
     def l(self) -> int:
         return len(self.a_set)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewlgv.detring import (
     DimensionGuardError,
@@ -15,6 +16,7 @@ from skewlgv.detring import (
     int_det,
     jacobi_check,
     matmul,
+    minors,
 )
 from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
 
@@ -140,6 +142,41 @@ def test_det_commutes_with_integer_specialisation():
                     ]
                 )
             assert lhs == int_det(rows)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda e: ((1, e[0]), (2, e[1]))),
+    st.integers(-3, 3),
+    max_size=3,
+).map(Polynomial)
+
+
+@st.composite
+def square_grids(draw):
+    """A row-major n x n grid, n <= 5, of small integers or polynomials,
+    with the matching ring's one and zero."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return n, draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)), 1, 0
+    return n, draw(st.lists(small_polys, min_size=n * n, max_size=n * n)), ONE, ZERO
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(square_grids())
+def test_minors_match_det_naive_of_every_submatrix(grid):
+    n, entries, one, zero = grid
+    minor = minors(entries, n, one, zero)
+    assert minor(0, 0) == one
+    full = PolyMatrix.from_rows(
+        [[Polynomial.integer(x) if isinstance(x, int) else x for x in entries[r * n : (r + 1) * n]]
+         for r in range(n)]
+    )
+    for k in range(n + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                sub = PolyMatrix.from_rows([[full.entry(r, c) for c in cols] for r in rows])
+                value = minor(sum(1 << r for r in rows), sum(1 << c for c in cols))
+                assert value == det_naive(sub), (rows, cols)
 
 
 def test_matmul_labels_and_identity():

@@ -3,8 +3,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from skewlgv import identity
 from skewlgv.detring import PolyMatrix, det, det_naive, identity_matrix, int_det, matmul
 from skewlgv.identity import (
+    VerificationReport,
     build_e_matrix,
     build_full_E,
     build_full_H,
@@ -21,6 +23,7 @@ from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly, qbinom
 from skewlgv.shape import (
     IndexSelection,
     make_skew,
+    parallelogram_hypothesis,
     rectangle,
     selections,
     skew_shapes,
@@ -355,3 +358,66 @@ def test_run_sweep_small_buckets():
     )
     hyp_only = run_sweep(2, 2, hypothesis_only=True)
     assert hyp_only.total == summary.holds_equal
+
+
+def _sweep_cases(max_n, max_part):
+    return [
+        (shape, sel)
+        for n in range(1, max_n + 1)
+        for shape in skew_shapes(n, max_part)
+        for sel in selections(n)
+    ]
+
+
+def test_run_sweep_matches_per_case_oracle():
+    # the shape-batched sweep against matrices built and expanded per case
+    reports = []
+    summary = run_sweep(3, 3, per_case=reports.append)
+    cases = _sweep_cases(3, 3)
+    assert summary.total == len(reports) == len(cases) == 13310
+    for rep, (shape, sel) in zip(reports, cases):
+        hyp = parallelogram_hypothesis(shape, sel)
+        dh = det(build_h_matrix(shape, sel))
+        de = det(build_e_matrix(shape, sel))
+        assert rep == VerificationReport(
+            n=shape.n,
+            alpha=shape.alpha,
+            beta=shape.beta,
+            a_set=sel.a_set,
+            b_set=sel.b_set,
+            hypothesis_ok=hyp.ok,
+            violating_pairs=hyp.violations,
+            det_h=dh,
+            det_e=de,
+            equal=dh == de,
+            isolated=shape.isolated_points,
+            row_connected=shape.row_connected,
+        ), (shape, sel)
+    hyp_only = []
+    run_sweep(3, 3, hypothesis_only=True, per_case=hyp_only.append)
+    assert hyp_only == [rep for rep in reports if rep.hypothesis_ok]
+
+
+def test_hypothesis_only_sweep_reads_no_minor_of_a_failing_case(monkeypatch):
+    reads = []
+
+    class SpyCheck(identity.ShapeCheck):
+        def __init__(self, shape):
+            super().__init__(shape)
+            for side in ("minor_h", "minor_e"):
+                def spy(rows, cols, side=side, minor=getattr(self, side)):
+                    reads.append((shape, side, rows, cols))
+                    return minor(rows, cols)
+
+                setattr(self, side, spy)
+
+    monkeypatch.setattr(identity, "ShapeCheck", SpyCheck)
+    summary = run_sweep(2, 2, hypothesis_only=True)
+    failing = set()
+    for shape, sel in _sweep_cases(2, 2):
+        if not parallelogram_hypothesis(shape, sel).ok:
+            a_set, b_set, a_comp, b_comp = sel.masks
+            failing |= {(shape, "minor_h", a_set, b_set), (shape, "minor_e", a_comp, b_comp)}
+    assert failing
+    assert len(reads) == 2 * summary.total
+    assert not failing & set(reads)
