@@ -3,10 +3,12 @@
 Exit codes: 0 success (identity verified, or hypothesis failed without
 --strict); 1 falsification (determinants differ although the hypothesis
 holds, or any inequality under --strict); 2 input error, including a
---jsonl file that cannot be written; 3 enumeration or sweep guard
-breached.  The environment variable SKEWLGV_MAX_TUPLES (a positive
-integer) overrides the default path-tuple cap of the brute-force
-enumerator.
+--jsonl file that cannot be written; 3 enumeration, sweep or dimension
+guard breached.  The dimension guard refuses, before any determinant work,
+a verify or special selection whose larger determinant would have more
+than DIMENSION_LIMIT rows.  The environment variable SKEWLGV_MAX_TUPLES
+(a positive integer) overrides the default path-tuple cap of the
+brute-force enumerator.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Sequence
 from . import connectors as conn
 from . import identity
 from .connectors import ComplementError, EnumerationCapError
+from .detring import DimensionGuardError
 from .lattice import build_L, build_R, render
 from .shape import IndexSelection, ShapeError, SkewShape, is_row_connected, make_skew
 from .poly import Polynomial
@@ -30,6 +33,9 @@ SCHEMA_VERSION = 1
 
 SWEEP_MAX_N = 5
 SWEEP_MAX_PART = 5
+# detring's row expansion recurses once per row; this stays well below the
+# interpreter's default recursion limit of 1000 frames
+DIMENSION_LIMIT = 256
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -70,8 +76,21 @@ def _shape(args: argparse.Namespace) -> SkewShape:
     return make_skew(args.alpha, args.beta)
 
 
+def _selection(args: argparse.Namespace) -> IndexSelection:
+    """The row selection; DimensionGuardError when one of its two
+    determinants would have more than DIMENSION_LIMIT rows."""
+    sel = IndexSelection.make(args.n, args.A, args.B)
+    dim = max(sel.l, sel.r)
+    if dim > DIMENSION_LIMIT:
+        raise DimensionGuardError(
+            f"determinant dimension {dim} (--n {args.n}, |A| = {sel.l}) "
+            f"exceeds the limit of {DIMENSION_LIMIT}"
+        )
+    return sel
+
+
 def _problem(args: argparse.Namespace) -> tuple[SkewShape, IndexSelection]:
-    return _shape(args), IndexSelection.make(args.n, args.A, args.B)
+    return _shape(args), _selection(args)
 
 
 # report fields renamed in JSON output, and fields left out of it
@@ -204,30 +223,37 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# plain-text lines of each special report r before its verdict; a
+# polynomial is formatted only when its line is printed
+_SPECIAL_TEXT = {
+    "binomial": "det(C(b,a)) = {r.lhs}, complement det = {r.rhs}",
+    "qbinomial": "lhs = {r.det_lhs}\nrhs = {r.det_rhs}",
+    "sympoly": (
+        "det_h = {r.det_h_direct}\ndet_e = {r.det_e_direct}\n"
+        "staircase route agrees: {agrees}"
+    ),
+    "aitken": "det_h = {r.det_h}\ndet_e = {r.det_e}",
+}
+
+
 def cmd_special(args: argparse.Namespace) -> int:
-    sel = IndexSelection.make(args.n, args.A, args.B)
+    sel = _selection(args)
     kind = args.kind
     if kind == "binomial":
         rep = identity.verify_binomial(args.n, sel)
-        text = f"det(C(b,a)) = {rep.lhs}, complement det = {rep.rhs}"
     elif kind == "qbinomial":
         rep = identity.verify_qbinomial(args.n, sel)
-        text = f"lhs = {rep.det_lhs}\nrhs = {rep.det_rhs}"
     elif kind == "sympoly":
         rep = identity.verify_sympoly_binomial(args.n, sel)
-        text = (
-            f"det_h = {rep.det_h_direct}\ndet_e = {rep.det_e_direct}\n"
-            f"staircase route agrees: {'yes' if rep.routes_agree else 'NO'}"
-        )
     else:
         rep = identity.verify_aitken(args.m, args.n, sel)
-        text = f"det_h = {rep.det_h}\ndet_e = {rep.det_e}"
     # only the sympoly report carries a second check
-    equal = rep.equal and getattr(rep, "routes_agree", True)
+    agrees = getattr(rep, "routes_agree", True)
+    equal = rep.equal and agrees
     if args.json:
         print(json.dumps(_report_dict(rep, kind), indent=2))
     else:
-        print(text)
+        print(_SPECIAL_TEXT[kind].format(r=rep, agrees="yes" if agrees else "NO"))
         print(f"equal: {'yes' if equal else 'NO'}")
     return EXIT_OK if equal else EXIT_FALSIFIED
 
@@ -359,6 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except EnumerationCapError as exc:
         print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except DimensionGuardError as exc:
+        print(f"dimension guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -26,7 +26,8 @@ class NonSquareMatrixError(ValueError):
 
 
 class DimensionGuardError(ValueError):
-    """The permutation-sum oracle refuses dimensions above the guard."""
+    """A determinant's dimension is above a guard: NAIVE_DIMENSION_LIMIT for
+    the permutation-sum oracle, the command line's DIMENSION_LIMIT."""
 
 
 class SizeMismatchError(ValueError):

@@ -29,7 +29,7 @@ from typing import Callable
 from . import connectors as conn
 from .detring import PolyMatrix, det, minors
 from .lattice import build_L, build_R
-from .poly import Polynomial, VarRange, e_poly, h_poly, qbinom
+from .poly import LazyGrid, Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
     IndexSelection,
     Node,
@@ -90,20 +90,6 @@ class VerificationReport:
     row_connected: bool = True
 
 
-class _LazyGrid(dict):
-    """Row-major grid of the given width whose entry k is f(row, col),
-    computed on first read."""
-
-    def __init__(self, f: Callable[[int, int], object], width: int):
-        super().__init__()
-        self.f = f
-        self.width = width
-
-    def __missing__(self, k: int):
-        value = self[k] = self.f(*divmod(k, self.width))
-        return value
-
-
 class ShapeCheck:
     """The duality checks of one shape, sharing their work across selections.
 
@@ -120,9 +106,9 @@ class ShapeCheck:
         self.shape = shape
         width = shape.n + 1
         one, zero = Polynomial.one(), Polynomial.zero()
-        self.minor_h = minors(_LazyGrid(partial(entry_h, shape), width), width, one, zero)
-        self.minor_e = minors(_LazyGrid(partial(entry_e, shape), width), width, one, zero)
-        self.clauses = _LazyGrid(partial(parallelogram_clause, shape), width)
+        self.minor_h = minors(LazyGrid(partial(entry_h, shape), width), width, one, zero)
+        self.minor_e = minors(LazyGrid(partial(entry_e, shape), width), width, one, zero)
+        self.clauses = LazyGrid(partial(parallelogram_clause, shape), width)
 
     def violations(self, sel: IndexSelection) -> tuple[tuple[int, int], ...]:
         """The pairs of A^c x B^c whose clause fails, as

@@ -21,18 +21,23 @@ immutable; every operation returns a fresh canonical polynomial.
 Outside this module a monomial is a tuple of (variable index, exponent)
 pairs, sorted by variable index, with every exponent positive.  The
 constructor accepts that form (in any order, repeats adding), `terms` and
-`sorted_terms` return it, and `variables`, `total_degree`, `evaluate`,
-`substitute` and the text form decode keys to read it.
+`sorted_terms` return it, and `variables`, `total_degree`, `evaluate` and
+`substitute` decode keys to read it.
 
-Terms render in graded-lexicographic order (higher total degree first,
-ties broken towards lower variable indices), which keeps text output
-stable for golden tests: ``x1*x2*x3 + 2*x2^2 - 1``.
+Terms display, in text and in `sorted_terms`, in one order: higher total
+degree first, and within one degree the exponent vectors (e_q, e_1, e_2,
+...) in descending lexicographic order, so a higher power of q, then of
+x1, then of x2, and so on, comes first: ``x1^2 + x1*x2 + x2^2 + x1 + 1``.
+The order keeps text output stable for golden tests.  Both are built in
+one pass per key over the fields the polynomial spans, which reads the
+key's degree, its place in the order and each of its variable powers
+together.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
@@ -119,14 +124,60 @@ def _monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _display_key(term: tuple[Monomial, int]):
-    # graded-lex, descending degree; ties put weight on low indices first
-    m = term[0]
-    return (-_monomial_degree(m), [(v, -e) for v, e in m])
-
-
 def _var_text(v: int) -> str:
     return "q" if v == Q_INDEX else f"x{v}"
+
+
+def _power_text(v: int, e: int) -> str:
+    return _var_text(v) if e == 1 else f"{_var_text(v)}^{e}"
+
+
+class LazyGrid(dict):
+    """Row-major grid of the given width whose entry k is f(row, col),
+    computed on first read."""
+
+    def __init__(self, f: Callable[[int, int], object], width: int):
+        super().__init__()
+        self.f = f
+        self.width = width
+
+    def __missing__(self, k: int):
+        value = self[k] = self.f(*divmod(k, self.width))
+        return value
+
+
+# the (v, e) pair and the text of each power x_v^e displayed so far, at
+# key v << FIELD_BITS | e; one small entry per power, kept for the process
+# like the other caches here
+_POWER_PAIRS = LazyGrid(lambda v, e: (v, e), 1 << FIELD_BITS)
+_POWER_TEXTS = LazyGrid(_power_text, 1 << FIELD_BITS)
+
+
+def _display_rows(terms: dict[int, int], pieces: Mapping[int, object]) -> list:
+    """(rank, coefficient, pieces) of every term, in the display order.
+
+    One pass per key over the fields the polynomial spans reads its total
+    degree, its fields in reverse order (q's on top) and, for each power
+    x_v^e in it, pieces[v << FIELD_BITS | e].  The rank is the degree above
+    the reversed fields, so descending ranks are the display order, and no
+    two terms share a rank."""
+    fields = -(-max(terms, default=0).bit_length() // FIELD_BITS)
+    bases = range(0, fields << FIELD_BITS, 1 << FIELD_BITS)
+    shift = fields * FIELD_BITS
+    rows = []
+    for key, c in terms.items():
+        degree = reversed_key = 0
+        powers = []
+        for base in bases:
+            e = key & _FIELD_MASK
+            key >>= FIELD_BITS
+            reversed_key = reversed_key << FIELD_BITS | e
+            if e:
+                degree += e
+                powers.append(pieces[base | e])
+        rows.append((degree << shift | reversed_key, c, powers))
+    rows.sort(reverse=True)
+    return rows
 
 
 class _TupleTerms(Mapping):
@@ -359,32 +410,28 @@ class Polynomial:
         return acc
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in the display order (graded-lex, descending)."""
-        terms = [(_decode(m), c) for m, c in self._terms.items()]
-        if len(terms) > 1:
-            terms.sort(key=_display_key)
-        return terms
+        """Terms in the display order (see the module docstring)."""
+        return [(tuple(m), c) for _, c, m in _display_rows(self._terms, _POWER_PAIRS)]
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        pieces: list[str] = []
-        for m, c in self.sorted_terms():
-            body = "*".join(
-                _var_text(v) + (f"^{e}" if e > 1 else "") for v, e in m
-            )
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
+        out: list[str] = []
+        for _, c, powers in _display_rows(self._terms, _POWER_TEXTS):
+            if c < 0:
+                out.append(" - ")
+                c = -c
             else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(f"-{text}" if c < 0 else text)
+                out.append(" + ")
+            if not powers:
+                out.append(str(c))
+            elif c == 1:
+                out.append("*".join(powers))
             else:
-                pieces.append(f" - {text}" if c < 0 else f" + {text}")
-        return "".join(pieces)
+                out.append(f"{c}*{'*'.join(powers)}")
+        # the first term's sign stands alone
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from skewlgv import connectors, identity
-from skewlgv.cli import main
+from skewlgv.cli import DIMENSION_LIMIT, main
+from skewlgv.poly import Polynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,15 +261,70 @@ SPECIAL_CASES = {
 }
 
 
+# polynomials each special report shows: the binomial determinants are
+# ints, and sympoly's staircase route is not shown
+SPECIAL_POLYNOMIALS = {"binomial": 0, "qbinomial": 2, "sympoly": 2, "aitken": 2}
+
+
 @pytest.mark.parametrize("kind", sorted(SPECIAL_CASES))
-def test_special_outputs_match_goldens(capsys, kind):
+def test_special_outputs_match_goldens(capsys, monkeypatch, kind):
+    # either output formats each polynomial it shows exactly once
+    calls = []
+    text = Polynomial.__str__
+
+    def counted(p):
+        calls.append(p)
+        return text(p)
+
+    monkeypatch.setattr(Polynomial, "__str__", counted)
     argv = ["special", kind, *SPECIAL_CASES[kind]]
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == (DATA / f"special_{kind}.txt").read_text()
+    assert len(calls) == SPECIAL_POLYNOMIALS[kind]
+    calls.clear()
     code, out, _ = run(capsys, [*argv, "--json"])
     assert code == 0
     assert out == (DATA / f"special_{kind}.json").read_text()
+    assert len(calls) == SPECIAL_POLYNOMIALS[kind]
+
+
+DEEP_SELECTION = [
+    "--n", "1000",
+    "--A", ",".join(map(str, range(1000))),
+    "--B", ",".join(map(str, range(1, 1001))),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--alpha", ",".join(["0"] * 1000), "--beta", ",".join(["1"] * 1000)],
+        *(["special", kind] for kind in ("binomial", "qbinomial", "sympoly", "aitken")),
+    ],
+    ids=lambda argv: argv[-1] if argv[0] == "special" else argv[0],
+)
+def test_dimension_guard_refuses_deep_determinants_up_front(capsys, argv):
+    # a row expansion this deep would pass the interpreter's recursion limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, [*argv, *DEEP_SELECTION])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "dimension guard: determinant dimension 1000 (--n 1000, |A| = 1000) "
+        f"exceeds the limit of {DIMENSION_LIMIT}\n"
+    )
+
+
+def test_dimension_guard_admits_its_limit(capsys):
+    # empty selections: the e-side determinant has n + 1 rows
+    argv = ["special", "aitken", "--m", "1", "--A", "", "--B", ""]
+    code, out, _ = run(capsys, [*argv, "--n", str(DIMENSION_LIMIT - 1)])
+    assert (code, out) == (0, "det_h = 1\ndet_e = 1\nequal: yes\n")
+    code, out, err = run(capsys, [*argv, "--n", str(DIMENSION_LIMIT)])
+    assert (code, out) == (3, "")
+    assert f"dimension {DIMENSION_LIMIT + 1} " in err
 
 
 def test_special_binomial(capsys):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewlgv import poly
 from skewlgv.poly import (
@@ -456,3 +456,60 @@ def test_arithmetic_against_tuple_oracle(a, b, k):
     check_against_oracle(lambda: pa + pb, oracle_add(a, b))
     check_against_oracle(lambda: pa - pb, oracle_add(a, b, -1))
     check_against_oracle(lambda: pa**k, oracle_pow(a, k))
+
+
+# --- text and display order against a tuple oracle ----------------------------
+
+
+def oracle_sorted_terms(p: Polynomial) -> list:
+    """The terms in display order, from the tuple form alone: descending
+    degree, then [(v, -e), ...] ascending."""
+    return sorted(
+        p.terms.items(),
+        key=lambda t: (-sum(e for _, e in t[0]), [(v, -e) for v, e in t[0]]),
+    )
+
+
+def oracle_str(p: Polynomial) -> str:
+    pieces = []
+    for m, c in oracle_sorted_terms(p):
+        body = "*".join(
+            ("q" if v == 0 else f"x{v}") + (f"^{e}" if e > 1 else "") for v, e in m
+        )
+        mag = abs(c)
+        if pieces:
+            pieces.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            pieces.append("-")
+        pieces.append(str(mag) if not body else body if mag == 1 else f"{mag}*{body}")
+    return "".join(pieces) or "0"
+
+
+text_exponents = st.one_of(
+    st.sampled_from([1, 2, 255, 256, EXPONENT_BOUND]), st.integers(1, EXPONENT_BOUND)
+)
+text_monomials = st.dictionaries(
+    # q alone, q with low x's, and keys spanning up to 30 fields
+    st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 29)),
+    text_exponents,
+    max_size=5,
+).map(lambda exps: tuple(sorted(exps.items())))
+text_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 10, -10**20, 10**20]), st.integers(-999, 999)
+)
+text_polynomials = st.dictionaries(text_monomials, text_coefficients, max_size=8).map(
+    lambda terms: Polynomial(oracle_clean(terms))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text_polynomials)
+@example(ZERO)
+@example(Polynomial.integer(-(10**20)))
+@example(Q)
+@example(-(Q**2) * X1 + Q * X2**2 + 3)
+@example(Polynomial.variable(20) ** 256 - 12 * Q**255 + X1 * X2)
+@example(X1**EXPONENT_BOUND * Polynomial.variable(29) - X1**EXPONENT_BOUND)
+def test_text_and_order_against_tuple_oracle(p):
+    assert p.sorted_terms() == oracle_sorted_terms(p)
+    assert str(p) == oracle_str(p)
