@@ -107,21 +107,24 @@ def enumerate_paths(lat: Lattice, src: Node, snk: Node) -> list[Path]:
         return [Path((src,), Polynomial.one())]
     reach = lat.path_counts(src, snk)
     out: list[Path] = []
+    # depth first, with the weight and a successor iterator of each prefix
+    # node on an explicit stack, so a long path needs no deep recursion
     prefix: list[Node] = [src]
-
-    def walk(u: Node, weight: Polynomial) -> None:
-        for v, w in lat.successors(u):
-            if not reach.get(v):
-                continue  # no path from v reaches snk
-            nw = weight * w
-            prefix.append(v)
-            if v == snk:
-                out.append(Path(tuple(prefix), nw))
-            else:
-                walk(v, nw)
+    stack = [(Polynomial.one(), iter(lat.successors(src)))]
+    while stack:
+        weight, steps = stack[-1]
+        for v, w in steps:
+            if reach.get(v):  # else no path from v reaches snk
+                break
+        else:
+            stack.pop()
             prefix.pop()
-
-    walk(src, Polynomial.one())
+            continue
+        if v == snk:
+            out.append(Path((*prefix, v), weight * w))
+        else:
+            prefix.append(v)
+            stack.append((weight * w, iter(lat.successors(v))))
     return out
 
 

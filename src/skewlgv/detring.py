@@ -56,25 +56,6 @@ class PolyMatrix:
                 raise ValueError("labels must be strictly increasing")
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[Polynomial]],
-        row_labels: Sequence[int] | None = None,
-        col_labels: Sequence[int] | None = None,
-    ) -> "PolyMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(
-            rows=r,
-            cols=c,
-            entries=tuple(x for row in rows for x in row),
-            row_labels=tuple(row_labels) if row_labels is not None else tuple(range(r)),
-            col_labels=tuple(col_labels) if col_labels is not None else tuple(range(c)),
-        )
-
-    @classmethod
     def tabulate(
         cls,
         f: Callable[[int, int], Polynomial],
@@ -88,9 +69,6 @@ class PolyMatrix:
 
     def entry(self, r: int, c: int) -> Polynomial:
         return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple[Polynomial, ...]:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -189,44 +167,32 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     )
 
 
-def identity_matrix(n: int) -> PolyMatrix:
-    return PolyMatrix.tabulate(
-        lambda r, c: Polynomial.one() if r == c else Polynomial.zero(),
-        range(n),
-        range(n),
-    )
+def _int_minors(rows: Sequence[Sequence[int]]) -> tuple[Callable[[int, int], int], int]:
+    """The minor function of a square integer matrix, and its full mask."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NonSquareMatrixError("integer matrix is not square")
+    return minors([x for r in rows for x in r], n, 1, 0), (1 << n) - 1
+
+
+def _cofactors(minor: Callable[[int, int], int], full: int) -> list[list[int]]:
+    # the (i, j) cofactor is the signed minor off row i and column j
+    n = full.bit_length()
+    return [
+        [(-1) ** (i + j) * minor(full ^ 1 << i, full ^ 1 << j) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by memoised row expansion; det([]) = 1."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NonSquareMatrixError("integer matrix is not square")
-    full = (1 << n) - 1
-    return minors([x for r in rows for x in r], n, 1, 0)(full, full)
-
-
-def int_submatrix(
-    rows: Sequence[Sequence[int]],
-    keep_rows: Sequence[int],
-    keep_cols: Sequence[int],
-) -> list[list[int]]:
-    return [[rows[r][c] for c in keep_cols] for r in keep_rows]
+    minor, full = _int_minors(rows)
+    return minor(full, full)
 
 
 def int_cofactor_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Matrix of signed minors; equals the transpose of the adjugate."""
-    n = len(rows)
-    out = []
-    for i in range(n):
-        line = []
-        others_r = [r for r in range(n) if r != i]
-        for j in range(n):
-            others_c = [c for c in range(n) if c != j]
-            minor = int_det(int_submatrix(rows, others_r, others_c))
-            line.append(-minor if (i + j) % 2 else minor)
-        out.append(line)
-    return out
+    return _cofactors(*_int_minors(rows))
 
 
 def jacobi_check(
@@ -244,9 +210,8 @@ def jacobi_check(
     singular matrices.  With empty complements both minors coincide with
     det(M) and the identity is trivially true.
     """
+    minor, full = _int_minors(m)
     d1 = len(m)
-    if any(len(row) != d1 for row in m):
-        raise NonSquareMatrixError("integer matrix is not square")
     a = sorted(a_set)
     b = sorted(b_set)
     if len(a) != len(set(a)) or len(b) != len(set(b)):
@@ -262,11 +227,10 @@ def jacobi_check(
     if r == 0:
         return True
 
-    a_comp = [i for i in range(d1) if i not in set(a)]
-    b_comp = [i for i in range(d1) if i not in set(b)]
-    det_m = int_det(m)
-    lhs = int_det(int_submatrix(m, a, b)) * det_m ** (r - 1)
-    cof = int_cofactor_matrix(m)
+    mask_a = sum(1 << i for i in a)
+    mask_b = sum(1 << i for i in b)
+    lhs = minor(mask_a, mask_b) * minor(full, full) ** (r - 1)
+    cof_minor, _ = _int_minors(_cofactors(minor, full))
     sign = -1 if (sum(a) + sum(b)) % 2 else 1
-    rhs = sign * int_det(int_submatrix(cof, a_comp, b_comp))
+    rhs = sign * cof_minor(full ^ mask_a, full ^ mask_b)
     return lhs == rhs

@@ -10,9 +10,10 @@ The two matrices attached to a skew shape and a row selection are
 Their determinants agree whenever the parallelogram condition holds; the
 verifiers here never assert, they report, because the condition is
 sufficient but not necessary and the sweep deliberately records what
-happens beyond it.  A report also carries two facts of the shape alone,
-its isolated designated points and its row-connectedness, which the shape
-computes once however many selections are verified on it.
+happens beyond it.  A report also carries facts of the shape alone, which
+the shape computes once however many selections are verified on it: its
+isolated designated points, its row-connectedness and its parallelogram
+clauses, read through ``parallelogram_hypothesis``.
 
 ``ShapeCheck`` verifies any number of selections of one shape, computing
 each h/e minor at most once; ``verify_main`` is its one-selection use and
@@ -34,7 +35,7 @@ from .shape import (
     IndexSelection,
     Node,
     SkewShape,
-    parallelogram_clause,
+    parallelogram_hypothesis,
     rectangle,
     selections,
     skew_shapes,
@@ -98,8 +99,7 @@ class ShapeCheck:
     the grid of ``entry_e`` on rows A^c and columns B^c.  Each side keeps
     one minor function over its grid, so a minor is computed at most once
     per shape, and a grid entry only when an expansion first reads it.
-    The grid ``clauses`` holds ``parallelogram_clause(shape, a', b')`` at
-    a' * (n+1) + b', each computed on first read.
+    The parallelogram test is the shape's ``parallelogram_hypothesis``.
     """
 
     def __init__(self, shape: SkewShape):
@@ -108,23 +108,11 @@ class ShapeCheck:
         one, zero = Polynomial.one(), Polynomial.zero()
         self.minor_h = minors(LazyGrid(partial(entry_h, shape), width), width, one, zero)
         self.minor_e = minors(LazyGrid(partial(entry_e, shape), width), width, one, zero)
-        self.clauses = LazyGrid(partial(parallelogram_clause, shape), width)
-
-    def violations(self, sel: IndexSelection) -> tuple[tuple[int, int], ...]:
-        """The pairs of A^c x B^c whose clause fails, as
-        ``parallelogram_hypothesis`` lists them; reads no minor."""
-        clauses, width = self.clauses, self.shape.n + 1
-        return tuple(
-            (a_p, b_p)
-            for a_p in sel.a_comp
-            for b_p in sel.b_comp
-            if not clauses[a_p * width + b_p]
-        )
 
     def report(self, sel: IndexSelection) -> VerificationReport:
         """Both determinants of one selection, without brute-force sums."""
+        hypothesis = parallelogram_hypothesis(self.shape, sel)
         a_set, b_set, a_comp, b_comp = sel.masks
-        violations = self.violations(sel)
         dh = self.minor_h(a_set, b_set)
         de = self.minor_e(a_comp, b_comp)
         shape = self.shape
@@ -134,8 +122,8 @@ class ShapeCheck:
             beta=shape.beta,
             a_set=sel.a_set,
             b_set=sel.b_set,
-            hypothesis_ok=not violations,
-            violating_pairs=violations,
+            hypothesis_ok=hypothesis.ok,
+            violating_pairs=hypothesis.violations,
             det_h=dh,
             det_e=de,
             equal=dh == de,
@@ -351,7 +339,7 @@ def run_sweep(
         for shape in skew_shapes(n, max_part):
             check = ShapeCheck(shape)
             for sel in sels:
-                if hypothesis_only and check.violations(sel):
+                if hypothesis_only and not parallelogram_hypothesis(shape, sel).ok:
                     continue
                 report = check.report(sel)
                 summary.bucket(report)

@@ -18,8 +18,10 @@ designated endpoints, and reads every edge and weight off the shape's box
 rule (``SkewShape.has_box``) when asked.  Its nodes are the shape's box
 corners plus the endpoints among the shape's isolated points; the node
 and edge sets are derived views, built on first use.  ``endpoints`` is
-the endpoint rule; ``Lattice.path_counts`` gives the integer path counts
-that the brute-force enumerator caps and prunes with.
+the one endpoint rule: L runs from (a, alpha_{a+1}) to (b, beta_b), R from
+(b', beta_{b'}) to (a', alpha_{a'+1}), at the shape's designated line
+points.  ``Lattice.path_counts`` gives the integer path counts that the
+brute-force enumerator caps and prunes with.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .poly import Polynomial
-from .shape import IndexSelection, Node, SkewShape, line_points, line_runs
+from .shape import IndexSelection, Node, SkewShape, line_points
 
 # per flavor: the free horizontal step, then the weighted descent, as (di, dj)
 STEPS = {"L": ((0, 1), (1, 0)), "R": ((0, -1), (1, -1))}
@@ -42,41 +44,19 @@ class Edge(NamedTuple):
 
 
 def endpoints(
-    shape: SkewShape,
-    sel: IndexSelection,
-    flavor: str,
-    line_extreme: bool = False,
+    shape: SkewShape, sel: IndexSelection, flavor: str
 ) -> tuple[tuple[Node, ...], tuple[Node, ...]]:
     """Sources and sinks of the given flavor's lattice, row ordered.
 
-    L runs from the left points of the lines in A to the right points of
-    the lines in B; R runs from the right points of the lines outside B to
-    the left points of the lines outside A.
-
-    With line_extreme, each point becomes the matching extreme node of its
-    line instead.  This is the literal endpoint rule; for partition pairs
-    it coincides with the explicit points whenever those land on the line
-    at all.  Composition pairs need this form for the connector bijection,
-    since their explicit points can sit strictly inside a line.  Lines
-    without nodes keep the explicit points.
+    L runs from the left points (a, alpha_{a+1}) of the lines a in A to the
+    right points (b, beta_b) of the lines b in B; R runs from the right
+    points of the lines outside B to the left points of the lines outside A
+    (see ``line_points``).
     """
-
-    def point(t: int, left: bool) -> Node:
-        if line_extreme:
-            runs = line_runs(shape, t)
-            if runs:
-                return Node(t, runs[0][0] if left else runs[-1][1])
-        return line_points(shape, t)[0 if left else 1]
-
+    points = [line_points(shape, t) for t in range(shape.n + 1)]
     if flavor == "L":
-        return (
-            tuple(point(a, True) for a in sel.a_set),
-            tuple(point(b, False) for b in sel.b_set),
-        )
-    return (
-        tuple(point(b, False) for b in sel.b_comp),
-        tuple(point(a, True) for a in sel.a_comp),
-    )
+        return tuple(points[a][0] for a in sel.a_set), tuple(points[b][1] for b in sel.b_set)
+    return tuple(points[b][1] for b in sel.b_comp), tuple(points[a][0] for a in sel.a_comp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,33 +152,6 @@ def build_R(shape: SkewShape, sel: IndexSelection | None = None) -> Lattice:
     if sel is None:
         return Lattice("R", shape)
     return Lattice("R", shape, *endpoints(shape, sel, "R"))
-
-
-def with_selection(base: Lattice, sel: IndexSelection) -> Lattice:
-    """The lattice of base's flavor and shape with sel's endpoints.
-
-    Useful in sweeps, where one shape serves many selections.
-    """
-    return Lattice(base.flavor, base.shape, *endpoints(base.shape, sel, base.flavor))
-
-
-def with_line_extreme_endpoints(base: Lattice, sel: IndexSelection) -> Lattice:
-    """Like ``with_selection``, with each endpoint moved to the extreme node
-    of its horizontal line (``endpoints`` with line_extreme)."""
-    return Lattice(
-        base.flavor,
-        base.shape,
-        *endpoints(base.shape, sel, base.flavor, line_extreme=True),
-    )
-
-
-def topological_potential(lat: Lattice) -> bool:
-    """True when a strictly increasing potential orders every edge, which
-    exhibits a topological order (hence acyclicity)."""
-    # i + dj * j grows along the free step (0, dj) and along either descent
-    dj = STEPS[lat.flavor][0][1]
-    pot = lambda p: p.i + dj * p.j
-    return all(pot(e.dst) > pot(e.src) for e in lat.edges)
 
 
 def render(lat: Lattice) -> str:

@@ -498,13 +498,6 @@ def e_poly(d: int, vars: VarRange) -> Polynomial:
     return _e_cached(d, vars.lo, vars.hi)
 
 
-def substitute(
-    p: Polynomial, assignment: Mapping[int, Polynomial | int]
-) -> Polynomial:
-    """Functional form of Polynomial.substitute."""
-    return p.substitute(assignment)
-
-
 @lru_cache(maxsize=None)
 def _q_power(e: int) -> Polynomial:
     if e == 0:

@@ -1,0 +1,43 @@
+"""Helpers shared by the tests, written without the package's geometry.
+
+The line-extreme endpoint rule moves each designated point to the matching
+extreme column of its line's box sides; a line without boxes keeps its
+points.  Composition pairs need it for the connector bijection, since their
+designated points can sit strictly inside a line.
+"""
+
+from skewlgv.detring import PolyMatrix
+from skewlgv.lattice import Lattice
+from skewlgv.poly import Polynomial
+from skewlgv.shape import Node
+
+
+def line_extreme_endpoints(shape, sel, flavor):
+    """Sources and sinks under the line-extreme rule, ordered as
+    ``lattice.endpoints`` orders them."""
+    n, alpha, beta = shape.n, shape.alpha, shape.beta
+
+    def point(t, left):
+        # line t holds the bottom sides of row t and the top sides of row t+1
+        rows = [r - 1 for r in (t, t + 1) if 1 <= r <= n and alpha[r - 1] < beta[r - 1]]
+        if rows:
+            return Node(t, min(alpha[r] for r in rows) if left else max(beta[r] for r in rows))
+        # the designated points, with alpha_{n+1} = alpha_n and beta_0 = beta_1
+        return Node(t, alpha[min(t, n - 1)] if left else beta[max(t - 1, 0)])
+
+    if flavor == "L":
+        return tuple(point(a, True) for a in sel.a_set), tuple(point(b, False) for b in sel.b_set)
+    return tuple(point(b, False) for b in sel.b_comp), tuple(point(a, True) for a in sel.a_comp)
+
+
+def line_extreme_lattice(shape, sel, flavor):
+    return Lattice(flavor, shape, *line_extreme_endpoints(shape, sel, flavor))
+
+
+def is_partition_pair(shape):
+    return all(all(a >= b for a, b in zip(p, p[1:])) for p in (shape.alpha, shape.beta))
+
+
+def identity_matrix(n):
+    one, zero = Polynomial.one(), Polynomial.zero()
+    return PolyMatrix.tabulate(lambda r, c: one if r == c else zero, range(n), range(n))

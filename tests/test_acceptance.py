@@ -29,7 +29,7 @@ from skewlgv.connectors import (
     enumerate_paths,
     intersection_nodes,
 )
-from skewlgv.detring import PolyMatrix, det, identity_matrix, jacobi_check, matmul
+from skewlgv.detring import PolyMatrix, det, jacobi_check, matmul
 from skewlgv.identity import (
     build_e_matrix,
     build_full_E,
@@ -43,13 +43,7 @@ from skewlgv.identity import (
     verify_qbinomial,
     verify_sympoly_binomial,
 )
-from skewlgv.lattice import (
-    Node,
-    build_L,
-    build_R,
-    with_line_extreme_endpoints,
-    with_selection,
-)
+from skewlgv.lattice import Node, build_L, build_R
 from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly, newton_residual
 from skewlgv.shape import (
     IndexSelection,
@@ -61,6 +55,7 @@ from skewlgv.shape import (
     selections,
     skew_shapes,
 )
+from support import identity_matrix, is_partition_pair, line_extreme_lattice
 
 MAX_N = 4
 MAX_PART = 4
@@ -180,12 +175,10 @@ def sweep():
         sels = list(selections(n))
         for shape in skew_shapes(n, MAX_PART):
             regular = is_row_connected(shape)
-            base_l = build_L(shape, None)
-            base_r = build_R(shape, None)
             full = IndexSelection.make(n, range(n + 1), range(n + 1))
             empty = IndexSelection.make(n, [], [])
-            lat_full = with_selection(base_l, full)
-            red_full = with_selection(base_r, empty)
+            lat_full = build_L(shape, full)
+            red_full = build_R(shape, empty)
 
             # per-pair path lists, shared by every selection of this shape
             blue_paths = {}
@@ -293,8 +286,8 @@ def sweep():
 
                 # criterion 6 on this case
                 if regular:
-                    lat = with_selection(base_l, sel)
-                    red_lat = with_selection(base_r, sel)
+                    lat = build_L(shape, sel)
+                    red_lat = build_R(shape, sel)
                     blues = []
                     for combo in _disjoint_tuples(blue_lists):
                         w = ONE
@@ -405,19 +398,17 @@ def test_criterion_5_entry_oracles(sweep):
 def test_criterion_6_bijection_suite(sweep):
     # partition sweep part
     partition_ok = not sweep.bijection_failures and sweep.bijection_cases > 0
-    # composition batch, using the literal extreme-node endpoint rule
+    # composition batch, using the line-extreme endpoint rule of support.py
     comp_cases = 0
     comp_failures = []
     for shape in composition_shapes(3, 2):
-        if shape.is_partition_pair():
+        if is_partition_pair(shape):
             continue
         if any(len(line_runs(shape, t)) != 1 for t in range(shape.n + 1)):
             continue
-        base_l = build_L(shape, None)
-        base_r = build_R(shape, None)
         for sel in selections(3):
-            lat = with_line_extreme_endpoints(base_l, sel)
-            red_lat = with_line_extreme_endpoints(base_r, sel)
+            lat = line_extreme_lattice(shape, sel, "L")
+            red_lat = line_extreme_lattice(shape, sel, "R")
             blue_lists = [
                 enumerate_paths(lat, s, t) for s, t in zip(lat.sources, lat.sinks)
             ]

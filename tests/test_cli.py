@@ -327,6 +327,27 @@ def test_dimension_guard_admits_its_limit(capsys):
     assert f"dimension {DIMENSION_LIMIT + 1} " in err
 
 
+# one row of 1500 boxes: each L path from (0, 0) to (1, 1500) takes 1501
+# steps, past the interpreter's default recursion limit of 1000 frames
+LONG_ROW = ["--n", "1", "--alpha", "0", "--beta", "1500", "--A", "0", "--B", "1"]
+
+
+def test_enumerate_walks_paths_longer_than_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, ["enumerate", *LONG_ROW, "--flavor", "L"])
+    lines = out.splitlines()
+    # one connector per descent column, each holding exactly one path
+    paths = [line for line in lines if line.startswith("  path ")]
+    assert (code, len(paths), lines[-1][:20]) == (0, 1500, "1500 connectors, dis")
+    assert all(p.startswith("  path 1: (0,0) -> ") and p.count("->") == 1501 for p in paths)
+
+
+def test_verify_brute_walks_paths_longer_than_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, ["verify", *LONG_ROW, "--brute"])
+    sums = {line.split(" = ")[1] for line in out.splitlines() if " = " in line}
+    assert sums == {" + ".join(f"x{j}" for j in range(1, 1501))}
+    assert (code, out[-24:]) == (0, "determinants equal: yes\n")
+
+
 def test_special_binomial(capsys):
     code, out, _ = run(
         capsys, ["special", "binomial", "--n", "2", "--A", "0,1", "--B", "0,1", "--json"]

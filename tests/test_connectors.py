@@ -18,13 +18,7 @@ from skewlgv.connectors import (
 )
 from skewlgv.detring import PolyMatrix, det
 from skewlgv.identity import build_h_matrix
-from skewlgv.lattice import (
-    Node,
-    build_L,
-    build_R,
-    with_line_extreme_endpoints,
-    with_selection,
-)
+from skewlgv.lattice import Node, build_L, build_R
 from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
 from skewlgv.shape import (
     IndexSelection,
@@ -35,6 +29,7 @@ from skewlgv.shape import (
     selections,
     skew_shapes,
 )
+from support import is_partition_pair, line_extreme_lattice
 
 FOUR_ROW_SHAPE = make_skew([1, 1, 0, 0], [4, 3, 3, 2])
 FOUR_ROW_SEL = IndexSelection.make(4, [0, 1, 2], [1, 3, 4])
@@ -156,10 +151,8 @@ def test_tuple_count_matches_enumerated_path_lists():
     for n in range(1, 4):
         sels = list(selections(n))
         for shape in skew_shapes(n, 2):
-            base_l = build_L(shape, None)
-            base_r = build_R(shape, None)
             for sel in sels:
-                for lat in (with_selection(base_l, sel), with_selection(base_r, sel)):
+                for lat in (build_L(shape, sel), build_R(shape, sel)):
                     expected = 1
                     for s, t in zip(lat.sources, lat.sinks):
                         expected *= len(enumerate_paths(lat, s, t))
@@ -252,16 +245,14 @@ def test_bijection_composition_batch():
     # each line); shapes with gaps or node-free lines stay out of scope
     count = 0
     for shape in composition_shapes(3, 2):
-        if shape.is_partition_pair():
+        if is_partition_pair(shape):
             continue
         if any(len(line_runs(shape, t)) != 1 for t in range(shape.n + 1)):
             continue
         count += 1
-        base_l = build_L(shape, None)
-        base_r = build_R(shape, None)
         for sel in selections(3):
-            lat = with_line_extreme_endpoints(base_l, sel)
-            red_lat = with_line_extreme_endpoints(base_r, sel)
+            lat = line_extreme_lattice(shape, sel, "L")
+            red_lat = line_extreme_lattice(shape, sel, "R")
             bijection_suite(shape, sel, lat, red_lat)
     assert count > 10
 
@@ -291,11 +282,9 @@ def test_lgv_brute_equals_path_matrix_det_small_sweep():
     for n in range(1, 4):
         sels = list(selections(n))
         for shape in skew_shapes(n, 2):
-            base_l = build_L(shape, None)
-            base_r = build_R(shape, None)
             for sel in sels:
-                lat = with_selection(base_l, sel)
-                red = with_selection(base_r, sel)
+                lat = build_L(shape, sel)
+                red = build_R(shape, sel)
                 assert connector_sum(lat) == det(path_count_matrix(lat))
                 assert connector_sum(red) == det(path_count_matrix(red))
 
@@ -305,9 +294,8 @@ def test_nonpermutable_no_disjoint_tuple_out_of_order():
         maxp = 3 if n < 3 else 2
         sels = [s for s in selections(n) if s.l >= 2]
         for shape in skew_shapes(n, maxp):
-            base_l = build_L(shape, None)
             for sel in sels:
-                lat = with_selection(base_l, sel)
+                lat = build_L(shape, sel)
                 lists = [
                     enumerate_paths(lat, s, t)
                     for s, t in zip(lat.sources, lat.sinks)

@@ -11,7 +11,6 @@ from skewlgv.detring import (
     SizeMismatchError,
     det,
     det_naive,
-    identity_matrix,
     int_cofactor_matrix,
     int_det,
     jacobi_check,
@@ -19,6 +18,7 @@ from skewlgv.detring import (
     minors,
 )
 from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
+from support import identity_matrix
 
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
@@ -30,25 +30,31 @@ def P(c):
     return Polynomial.integer(c)
 
 
+def matrix(rows):
+    """The matrix with the given rows of entries, labelled from 0."""
+    width = len(rows[0]) if rows else 0
+    return PolyMatrix.tabulate(lambda r, c: rows[r][c], range(len(rows)), range(width))
+
+
 def test_det_empty_matrix_is_one():
-    m = PolyMatrix.from_rows([])
+    m = matrix([])
     assert det(m) == ONE
     assert det_naive(m) == ONE
 
 
 def test_det_upper_triangular():
-    m = PolyMatrix.from_rows([[P(1), P(1)], [P(0), P(1)]])
+    m = matrix([[P(1), P(1)], [P(0), P(1)]])
     assert det(m) == ONE
 
 
 def test_det_2x2_formula():
-    m = PolyMatrix.from_rows([[X1, X2], [ONE, X1]])
+    m = matrix([[X1, X2], [ONE, X1]])
     assert det_naive(m) == X1**2 - X2
     assert det(m) == X1**2 - X2
 
 
 def test_det_nonsquare_rejected():
-    m = PolyMatrix.from_rows([[ONE, ZERO]])
+    m = matrix([[ONE, ZERO]])
     with pytest.raises(NonSquareMatrixError):
         det(m)
     with pytest.raises(NonSquareMatrixError):
@@ -70,7 +76,7 @@ def test_det_inverse_pair_h_matrix():
         [ONE, h_poly(1, VarRange(1, 3)), h_poly(2, VarRange(1, 1))],
         [ZERO, ONE, h_poly(1, VarRange(1, 1))],
     ]
-    m = PolyMatrix.from_rows(rows)
+    m = matrix(rows)
     expected = Polynomial.variable(1) * Polynomial.variable(2) * Polynomial.variable(3)
     assert det_naive(m) == expected
     assert det(m) == expected
@@ -78,7 +84,7 @@ def test_det_inverse_pair_h_matrix():
 
 
 def test_det_naive_2x2_e_matrix():
-    m = PolyMatrix.from_rows(
+    m = matrix(
         [
             [e_poly(3, VarRange(1, 4)), e_poly(1, VarRange(1, 3))],
             [e_poly(4, VarRange(1, 4)), e_poly(2, VarRange(1, 3))],
@@ -103,7 +109,7 @@ def random_sparse_poly(rng, nvars=3, max_terms=3):
 
 
 def random_matrix(rng, n):
-    return PolyMatrix.from_rows(
+    return matrix(
         [[random_sparse_poly(rng) for _ in range(n)] for _ in range(n)]
     )
 
@@ -121,9 +127,9 @@ def test_det_alternating_under_row_swap():
     for n in (3, 4):
         for _ in range(6):
             rows = [[random_sparse_poly(rng) for _ in range(n)] for _ in range(n)]
-            d = det(PolyMatrix.from_rows(rows))
+            d = det(matrix(rows))
             rows[0], rows[1] = rows[1], rows[0]
-            assert det(PolyMatrix.from_rows(rows)) == -d
+            assert det(matrix(rows)) == -d
 
 
 def test_det_commutes_with_integer_specialisation():
@@ -167,20 +173,20 @@ def test_minors_match_det_naive_of_every_submatrix(grid):
     n, entries, one, zero = grid
     minor = minors(entries, n, one, zero)
     assert minor(0, 0) == one
-    full = PolyMatrix.from_rows(
+    full = matrix(
         [[Polynomial.integer(x) if isinstance(x, int) else x for x in entries[r * n : (r + 1) * n]]
          for r in range(n)]
     )
     for k in range(n + 1):
         for rows in itertools.combinations(range(n), k):
             for cols in itertools.combinations(range(n), k):
-                sub = PolyMatrix.from_rows([[full.entry(r, c) for c in cols] for r in rows])
+                sub = matrix([[full.entry(r, c) for c in cols] for r in rows])
                 value = minor(sum(1 << r for r in rows), sum(1 << c for c in cols))
                 assert value == det_naive(sub), (rows, cols)
 
 
 def test_matmul_labels_and_identity():
-    m = PolyMatrix.from_rows([[X1, X2], [ONE, ZERO]], [0, 2], [1, 3])
+    m = PolyMatrix(2, 2, (X1, X2, ONE, ZERO), (0, 2), (1, 3))
     i2 = identity_matrix(2)
     prod = matmul(m, PolyMatrix(2, 2, i2.entries, (1, 3), (1, 3)))
     assert prod.entries == m.entries

@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from skewlgv import identity
-from skewlgv.detring import PolyMatrix, det, det_naive, identity_matrix, int_det, matmul
+from skewlgv.detring import PolyMatrix, det, det_naive, int_det, matmul
 from skewlgv.identity import (
     VerificationReport,
     build_e_matrix,
@@ -29,6 +29,7 @@ from skewlgv.shape import (
     skew_shapes,
     staircase,
 )
+from support import identity_matrix
 
 ONE = Polynomial.one()
 ZERO = Polynomial.zero()
@@ -278,11 +279,8 @@ def _grid():
 def test_h_matrix_is_minor_of_full_H():
     for shape, full_h, _ in _grid():
         for sel in selections(shape.n):
-            minor = PolyMatrix.from_rows(
-                [[full_h.entry(a, b) for b in sel.b_set] for a in sel.a_set],
-                [full_h.row_labels[a] for a in sel.a_set],
-                [full_h.col_labels[b] for b in sel.b_set],
-            )
+            # the full matrix's labels are its indices
+            minor = PolyMatrix.tabulate(full_h.entry, sel.a_set, sel.b_set)
             assert build_h_matrix(shape, sel) == minor
 
 
@@ -306,10 +304,12 @@ def test_det_agrees_with_int_det_at_random_points():
     # itself is checked against the Leibniz oracles in test_detring.py
     rng = random.Random(2024)
     for shape, _, _ in _grid():
-        point = {v: rng.randint(-9, 9) for v in range(1, shape.max_col() + 1)}
+        point = {v: rng.randint(-9, 9) for v in range(1, max(shape.beta) + 1)}
         for sel in selections(shape.n):
             for m in (build_h_matrix(shape, sel), build_e_matrix(shape, sel)):
-                rows = [[x.evaluate(point) for x in m.row(r)] for r in range(m.rows)]
+                rows = [
+                    [m.entry(r, c).evaluate(point) for c in range(m.cols)] for r in range(m.rows)
+                ]
                 assert det(m).evaluate(point) == int_det(rows)
 
 

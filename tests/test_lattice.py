@@ -1,14 +1,13 @@
 from pathlib import Path
 
 from skewlgv.lattice import (
+    STEPS,
+    Lattice,
     Node,
     build_L,
     build_R,
     endpoints,
     render,
-    topological_potential,
-    with_line_extreme_endpoints,
-    with_selection,
 )
 from skewlgv.poly import Polynomial
 from skewlgv.shape import (
@@ -21,6 +20,7 @@ from skewlgv.shape import (
     selections,
     skew_shapes,
 )
+from support import line_extreme_endpoints, line_extreme_lattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +34,15 @@ def kind(e):
 
 def edge_count(lat, k):
     return sum(1 for e in lat.edges if kind(e) == k)
+
+
+def topological_potential(lat):
+    """True when a strictly increasing potential orders every edge, which
+    exhibits a topological order (hence acyclicity)."""
+    # i + dj * j grows along the free step (0, dj) and along either descent
+    dj = STEPS[lat.flavor][0][1]
+    pot = lambda p: p.i + dj * p.j
+    return all(pot(e.dst) > pot(e.src) for e in lat.edges)
 
 
 def test_sources_and_sinks_of_six_row_configuration():
@@ -122,21 +131,16 @@ def test_structural_invariants_exhaustive():
 
 
 def test_with_selection_matches_direct_build():
+    # build_L/build_R with a selection are the lattices on endpoints' rule
     shape = make_skew([1, 1], [2, 1])
-    base_l = build_L(shape, None)
-    base_r = build_R(shape, None)
     for a in ([0], [2], [0, 1]):
         sel = IndexSelection.make(2, a, a)
-        direct = build_L(shape, sel)
-        derived = with_selection(base_l, sel)
-        assert derived.sources == direct.sources
-        assert derived.sinks == direct.sinks
-        assert derived.nodes == direct.nodes
-        direct_r = build_R(shape, sel)
-        derived_r = with_selection(base_r, sel)
-        assert derived_r.sources == direct_r.sources
-        assert derived_r.sinks == direct_r.sinks
-        assert derived_r.nodes == direct_r.nodes
+        for build, flavor in ((build_L, "L"), (build_R, "R")):
+            direct = build(shape, sel)
+            derived = Lattice(flavor, shape, *endpoints(shape, sel, flavor))
+            assert derived.sources == direct.sources
+            assert derived.sinks == direct.sinks
+            assert derived.nodes == direct.nodes
 
 
 def test_render_goldens():
@@ -198,9 +202,10 @@ def test_node_is_the_shape_point():
 
 
 def test_endpoint_rule_single_source():
-    # partition pairs: the literal line-extreme rule agrees with the
-    # explicit points wherever those lie on a run of their line, and the
-    # reported isolated points are the full selection's isolated nodes
+    # partition pairs: the line-extreme rule of the tests agrees with the
+    # explicit points of endpoints wherever those lie on a run of their
+    # line, and the reported isolated points are the full selection's
+    # isolated nodes
     compared = 0
     for n in range(1, 4):
         sels = list(selections(n))
@@ -211,7 +216,7 @@ def test_endpoint_rule_single_source():
             for sel in sels:
                 for flavor in ("L", "R"):
                     explicit = endpoints(shape, sel, flavor)
-                    extreme = endpoints(shape, sel, flavor, line_extreme=True)
+                    extreme = line_extreme_endpoints(shape, sel, flavor)
                     for side, side_x in zip(explicit, extreme):
                         for p, q in zip(side, side_x):
                             if any(lo <= p.j <= hi for lo, hi in runs[p.i]):
@@ -264,7 +269,10 @@ def test_geometry_matches_per_box_recomputation():
                 read = {(u, v): w for u in grid for v, w in base.successors(u)}
                 assert read == expected
                 for sel in sels:
-                    for lat in (with_selection(base, sel), with_line_extreme_endpoints(base, sel)):
+                    for lat in (
+                        Lattice(base.flavor, shape, *endpoints(shape, sel, base.flavor)),
+                        line_extreme_lattice(shape, sel, base.flavor),
+                    ):
                         ends = set(lat.sources) | set(lat.sinks)
                         isolated = tuple(sorted(ends - corners))
                         assert lat.isolated_nodes == isolated

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import skewlgv.shape as shape_module
 from skewlgv.shape import (
     IndexSelection,
     Partition,
@@ -9,7 +12,6 @@ from skewlgv.shape import (
     is_row_connected,
     line_runs,
     make_skew,
-    near_staircase_check,
     parallelogram_clause,
     parallelogram_hypothesis,
     partitions_with,
@@ -18,6 +20,12 @@ from skewlgv.shape import (
     skew_shapes,
     staircase,
 )
+from support import is_partition_pair
+
+
+def near_staircase_check(p: Partition) -> bool:
+    """True when each part is at most 1 less than the preceding part."""
+    return all(a - b <= 1 for a, b in zip(p.parts, p.parts[1:]))
 
 
 def test_make_skew_valid():
@@ -51,7 +59,7 @@ def test_make_skew_accepts_empty_rows():
 
 def test_from_compositions_allows_non_monotone():
     s = SkewShape.from_compositions([0, 2], [1, 3])
-    assert not s.is_partition_pair()
+    assert not is_partition_pair(s)
     with pytest.raises(ShapeError):
         SkewShape.from_compositions([2, 0], [1, 3])
 
@@ -100,6 +108,24 @@ def test_hypothesis_violation_reported():
     assert check.violations == ((2, 0),)
     # the breaking row: beta_1 - beta_2 = 2 > i - b' - 1 = 1 at i = 2
     assert not parallelogram_clause(shape, 2, 0)
+
+
+def test_clause_memo_computes_each_pair_once(monkeypatch):
+    # every selection of one shape reads the shape's clause table, so each
+    # (a', b') clause is computed once however many selections ask for it
+    clause, calls = shape_module.parallelogram_clause, Counter()
+
+    def counted(shape, a_p, b_p):
+        calls[a_p, b_p] += 1
+        return clause(shape, a_p, b_p)
+
+    monkeypatch.setattr(shape_module, "parallelogram_clause", counted)
+    shape = make_skew([2, 1, 0], [3, 3, 1])
+    for sel in selections(3):
+        pairs = [(a_p, b_p) for a_p in sel.a_comp for b_p in sel.b_comp]
+        violations = tuple(p for p in pairs if not clause(shape, *p))
+        assert parallelogram_hypothesis(shape, sel) == (not violations, violations)
+    assert len(calls) == 16 and max(calls.values()) == 1
 
 
 # --- special partitions ------------------------------------------------------
@@ -198,7 +224,7 @@ def test_skew_shapes_are_dominated_pairs():
 
 def test_composition_shapes_include_non_partitions():
     shapes = list(composition_shapes(2, 1))
-    assert any(not s.is_partition_pair() for s in shapes)
+    assert any(not is_partition_pair(s) for s in shapes)
 
 
 def test_line_runs_and_connectivity():
