@@ -15,9 +15,10 @@ the shape computes once however many selections are verified on it: its
 isolated designated points, its row-connectedness and its parallelogram
 clauses, read through ``parallelogram_hypothesis``.
 
-``ShapeCheck`` verifies any number of selections of one shape, computing
-each h/e minor at most once; ``verify_main`` is its one-selection use and
-``run_sweep`` builds one per shape.
+Every determinant pair, of a shape or of a corollary, is read from the
+``MinorPair`` of its entry rules.  ``ShapeCheck``, the pair of a shape,
+verifies any number of its selections; ``verify_main`` is its
+one-selection use and ``run_sweep`` builds one per shape.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import partial
 from typing import Callable
 
 from . import connectors as conn
-from .detring import PolyMatrix, det, minors
+from .detring import PolyMatrix, minors
 from .lattice import build_L, build_R
 from .poly import LazyGrid, Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
@@ -91,30 +92,42 @@ class VerificationReport:
     row_connected: bool = True
 
 
-class ShapeCheck:
-    """The duality checks of one shape, sharing their work across selections.
+class MinorPair:
+    """The h-side and e-side minor functions of one pair of entry rules.
 
-    Every h-matrix of the shape is the minor of the (n+1) x (n+1) grid of
-    ``entry_h`` on rows A and columns B, and every e-matrix the minor of
-    the grid of ``entry_e`` on rows A^c and columns B^c.  Each side keeps
-    one minor function over its grid, so a minor is computed at most once
-    per shape, and a grid entry only when an expansion first reads it.
-    The parallelogram test is the shape's ``parallelogram_hypothesis``.
+    Every determinant pair of the duality is a minor on rows A and columns
+    B of the (n+1) x (n+1) grid of ``h_entry``, and the minor on rows A^c
+    and columns B^c of the grid of ``e_entry``.  Each side keeps one minor
+    function over its grid, so a minor is computed at most once however
+    many selections read it, and a grid entry only when an expansion first
+    reads it.  ``one`` and ``zero`` are those of the entries' ring.
     """
 
+    def __init__(self, h_entry: Callable, e_entry: Callable, n: int, one, zero):
+        width = n + 1
+        self.minor_h = minors(LazyGrid(h_entry, width), width, one, zero)
+        self.minor_e = minors(LazyGrid(e_entry, width), width, one, zero)
+
+    def dets(self, sel: IndexSelection) -> tuple:
+        """(det_h, det_e) of one selection."""
+        a_set, b_set, a_comp, b_comp = sel.masks
+        return self.minor_h(a_set, b_set), self.minor_e(a_comp, b_comp)
+
+
+class ShapeCheck(MinorPair):
+    """The duality checks of one shape, sharing their work across selections:
+    the minor pair of ``entry_h`` and ``entry_e`` on the shape, and the
+    shape's ``parallelogram_hypothesis``."""
+
     def __init__(self, shape: SkewShape):
-        self.shape = shape
-        width = shape.n + 1
         one, zero = Polynomial.one(), Polynomial.zero()
-        self.minor_h = minors(LazyGrid(partial(entry_h, shape), width), width, one, zero)
-        self.minor_e = minors(LazyGrid(partial(entry_e, shape), width), width, one, zero)
+        super().__init__(partial(entry_h, shape), partial(entry_e, shape), shape.n, one, zero)
+        self.shape = shape
 
     def report(self, sel: IndexSelection) -> VerificationReport:
         """Both determinants of one selection, without brute-force sums."""
         hypothesis = parallelogram_hypothesis(self.shape, sel)
-        a_set, b_set, a_comp, b_comp = sel.masks
-        dh = self.minor_h(a_set, b_set)
-        de = self.minor_e(a_comp, b_comp)
+        dh, de = self.dets(sel)
         shape = self.shape
         return VerificationReport(
             n=shape.n,
@@ -166,10 +179,6 @@ class QBinomialReport:
     equal: bool
 
 
-def qbinom_lhs_matrix(n: int, sel: IndexSelection) -> PolyMatrix:
-    return PolyMatrix.tabulate(lambda a, b: qbinom(b, a), sel.a_set, sel.b_set)
-
-
 def _qbinom_rhs_entry(a_p: int, b_p: int) -> Polynomial:
     # the Gaussian coefficient vanishes for a' < b', so the exponent is
     # only ever formed for a' >= b'
@@ -178,14 +187,11 @@ def _qbinom_rhs_entry(a_p: int, b_p: int) -> Polynomial:
     return Polynomial.q() ** math.comb(a_p - b_p, 2) * qbinom(a_p, b_p)
 
 
-def qbinom_rhs_matrix(n: int, sel: IndexSelection) -> PolyMatrix:
-    """Complement-side matrix with entries q^C(a'-b',2) * qbinom(a', b')."""
-    return PolyMatrix.tabulate(_qbinom_rhs_entry, sel.a_comp, sel.b_comp)
-
-
 def verify_qbinomial(n: int, sel: IndexSelection) -> QBinomialReport:
-    lhs = det(qbinom_lhs_matrix(n, sel))
-    rhs = det(qbinom_rhs_matrix(n, sel))
+    """q-binomial duality: det [b, a]_q on A x B against the complement
+    determinant of q^C(a'-b',2) [a', b']_q on A^c x B^c."""
+    one, zero = Polynomial.one(), Polynomial.zero()
+    lhs, rhs = MinorPair(lambda a, b: qbinom(b, a), _qbinom_rhs_entry, n, one, zero).dets(sel)
     return QBinomialReport(n, sel.a_set, sel.b_set, lhs, rhs, lhs == rhs)
 
 
@@ -200,10 +206,9 @@ class BinomialReport:
 
 
 def verify_binomial(n: int, sel: IndexSelection) -> BinomialReport:
-    """Integer binomial determinant duality, obtained at q = 1."""
-    qrep = verify_qbinomial(n, sel)
-    lhs = qrep.det_lhs.evaluate({0: 1})
-    rhs = qrep.det_rhs.evaluate({0: 1})
+    """Integer binomial determinant duality of Gessel and Viennot: det C(b, a)
+    on A x B against det C(a', b') on A^c x B^c, over the integers."""
+    lhs, rhs = MinorPair(lambda a, b: math.comb(b, a), math.comb, n, 1, 0).dets(sel)
     return BinomialReport(n, sel.a_set, sel.b_set, lhs, rhs, lhs == rhs)
 
 
@@ -223,26 +228,15 @@ class SympolyReport:
 def verify_sympoly_binomial(n: int, sel: IndexSelection) -> SympolyReport:
     """Initial-segment symmetric polynomial duality, checked directly and
     re-derived from the staircase shape by relabelling x_i -> x_{n+1-i}."""
-    dh = det(PolyMatrix.tabulate(
-        lambda a, b: h_poly(b - a, VarRange(1, a + 1)), sel.a_set, sel.b_set
-    ))
-    de = det(PolyMatrix.tabulate(
-        lambda a_p, b_p: e_poly(a_p - b_p, VarRange(1, a_p)), sel.a_comp, sel.b_comp
-    ))
-    rep = verify_main(staircase(n), sel)
+    dh, de = MinorPair(
+        lambda a, b: h_poly(b - a, VarRange(1, a + 1)),
+        lambda a_p, b_p: e_poly(a_p - b_p, VarRange(1, a_p)),
+        n, Polynomial.one(), Polynomial.zero(),
+    ).dets(sel)
     relabel = {i: Polynomial.variable(n + 1 - i) for i in range(1, n + 1)}
-    dh_stair = rep.det_h.substitute(relabel)
-    de_stair = rep.det_e.substitute(relabel)
+    dh_st, de_st = (d.substitute(relabel) for d in ShapeCheck(staircase(n)).dets(sel))
     return SympolyReport(
-        n=n,
-        a_set=sel.a_set,
-        b_set=sel.b_set,
-        det_h_direct=dh,
-        det_e_direct=de,
-        det_h_staircase=dh_stair,
-        det_e_staircase=de_stair,
-        equal=dh == de,
-        routes_agree=dh_stair == dh and de_stair == de,
+        n, sel.a_set, sel.b_set, dh, de, dh_st, de_st, dh == de, dh_st == dh and de_st == de
     )
 
 
@@ -260,16 +254,8 @@ class AitkenReport:
 def verify_aitken(m: int, n: int, sel: IndexSelection) -> AitkenReport:
     """Rectangle-shape duality: both sides in the full variable range
     x_1..x_m, for any width m."""
-    rep = verify_main(rectangle(m, n), sel)
-    return AitkenReport(
-        m=m,
-        n=n,
-        a_set=sel.a_set,
-        b_set=sel.b_set,
-        det_h=rep.det_h,
-        det_e=rep.det_e,
-        equal=rep.equal,
-    )
+    dh, de = ShapeCheck(rectangle(m, n)).dets(sel)
+    return AitkenReport(m, n, sel.a_set, sel.b_set, dh, de, dh == de)
 
 
 # ---------------------------------------------------------------------------

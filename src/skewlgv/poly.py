@@ -498,26 +498,37 @@ def e_poly(d: int, vars: VarRange) -> Polynomial:
     return _e_cached(d, vars.lo, vars.hi)
 
 
-@lru_cache(maxsize=None)
-def _q_power(e: int) -> Polynomial:
-    if e == 0:
-        return _ONE
-    return Polynomial._raw({_power_key(Q_INDEX, e): 1})
+# _QBINOM_ROWS[m][j] is the Gaussian coefficient [m, j] for j up to the
+# widest column yet asked of row m; kept for the process like _h_cached
+_QBINOM_ROWS: list[list[Polynomial]] = [[_ONE]]
 
 
 def qbinom(n: int, k: int) -> Polynomial:
     """Gaussian binomial coefficient as a polynomial in q.
 
-    Zero when k < 0 or k > n.  Computed through the specialisation
-    x_i = q^(i-1) of the complete homogeneous polynomial h_k in n-k+1
-    variables, whose weighted monomials enumerate k-multisets.
+    Zero when k < 0 or k > n.  By the q-Pascal rule [m, j] = [m-1, j-1] +
+    q^j [m-1, j], filling rows 0..n in turn up to column min(k, n-k), as
+    [n, k] = [n, n-k]; no entry of that band has a higher degree than
+    k(n-k), and OverflowError is raised before any work when that passes
+    MAX_EXPONENT.
     """
     if n < 0:
         raise ValueError("qbinom requires n >= 0")
     if k < 0 or k > n:
         return _ZERO
-    base = h_poly(k, VarRange(1, n - k + 1))
-    return base.substitute({i: _q_power(i - 1) for i in range(1, n - k + 2)})
+    k = min(k, n - k)
+    rows = _QBINOM_ROWS
+    if n < len(rows) and k < len(rows[n]):
+        return rows[n][k]
+    if k * (n - k) > MAX_EXPONENT:
+        raise _overflow(Q_INDEX, k * (n - k))
+    while len(rows) <= n:
+        rows.append([_ONE])
+    for m in range(1, n + 1):
+        prev, row = rows[m - 1], rows[m]
+        for j in range(len(row), min(k, m) + 1):
+            row.append(prev[j - 1] + Polynomial.q() ** j * prev[j] if j < m else _ONE)
+    return rows[n][k]
 
 
 def newton_residual(d: int, nvars: int) -> Polynomial:

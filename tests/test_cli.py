@@ -213,12 +213,12 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("command", [["verify", "--brute"], ["enumerate", "--flavor", "L"]])
 def test_tuple_cap_checked_before_any_work(capsys, monkeypatch, command):
     # C(23, 11) paths cross the 12 x 12 square (column 0 has no descent);
-    # none may be built, and no determinant computed, before the cap
+    # none may be built, and no minor function made, before the cap
     # refuses them
     monkeypatch.setenv("SKEWLGV_MAX_TUPLES", "1000")
     monkeypatch.setattr(connectors, "enumerate_paths", _refuse)
     monkeypatch.setattr(connectors, "Path", _refuse)
-    monkeypatch.setattr(identity, "det", _refuse)
+    monkeypatch.setattr(identity, "minors", _refuse)
     square = ["--n", "12", "--alpha", ",".join(["0"] * 12), "--beta", ",".join(["12"] * 12)]
     code, out, err = run(capsys, [command[0], *square, "--A", "0", "--B", "12", *command[1:]])
     assert code == 3
@@ -325,6 +325,16 @@ def test_dimension_guard_admits_its_limit(capsys):
     code, out, err = run(capsys, [*argv, "--n", str(DIMENSION_LIMIT)])
     assert (code, out) == (3, "")
     assert f"dimension {DIMENSION_LIMIT + 1} " in err
+
+
+def test_deep_binomial_is_integer_work(capsys):
+    # |A| = n/2: a dense 12 x 12 minor on each side, taken over the integers
+    argv = ["special", "binomial", "--n", "24"]
+    selection = ["--A", ",".join(map(str, range(12))), "--B", ",".join(map(str, range(13, 25)))]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, [*argv, *selection])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "det(C(b,a)) = 1, complement det = 1\nequal: yes\n")
 
 
 # one row of 1500 boxes: each L path from (0, 0) to (1, 1500) takes 1501

@@ -166,14 +166,15 @@ def test_qbinomial_hand_expansion():
     sel = IndexSelection.make(2, [0], [1])
     rep = verify_qbinomial(2, sel)
     assert rep.det_lhs == qbinom(1, 0) == ONE
-    # complement matrix is [[1, 0], [q, 1]]
-    from skewlgv.identity import qbinom_rhs_matrix
+    # complement matrix, on rows A^c = {1, 2} and columns B^c = {0, 2}, is
+    # [[1, 0], [q, 1]]
+    from skewlgv.identity import _qbinom_rhs_entry
 
-    m = qbinom_rhs_matrix(2, sel)
-    assert m.entry(0, 0) == ONE
-    assert m.entry(0, 1) == ZERO
-    assert m.entry(1, 0) == Q
-    assert m.entry(1, 1) == ONE
+    assert sel.a_comp == (1, 2) and sel.b_comp == (0, 2)
+    assert _qbinom_rhs_entry(1, 0) == ONE
+    assert _qbinom_rhs_entry(1, 2) == ZERO
+    assert _qbinom_rhs_entry(2, 0) == Q
+    assert _qbinom_rhs_entry(2, 2) == ONE
     assert rep.det_rhs == ONE
     assert rep.equal
 
@@ -191,6 +192,19 @@ def test_qbinomial_example_and_q1_specialisation():
     assert rep.equal
     brep = verify_binomial(4, sel)
     assert rep.det_lhs.substitute({0: 1}) == Polynomial.integer(brep.lhs)
+
+
+def test_binomial_route_matches_qbinomial_at_q1():
+    # the integer route and the q-route are computed independently; a seeded
+    # sample of selections past the acceptance suite's n <= 5
+    rng = random.Random(0xB1)
+    for n in (6, 7, 8):
+        for sel in rng.sample(list(selections(n)), 50):
+            brep = verify_binomial(n, sel)
+            qrep = verify_qbinomial(n, sel)
+            assert brep.lhs == qrep.det_lhs.evaluate({0: 1}), (n, sel)
+            assert brep.rhs == qrep.det_rhs.evaluate({0: 1}), (n, sel)
+            assert brep.equal and qrep.equal
 
 
 # --- initial-segment symmetric polynomial duality ------------------------------

@@ -230,11 +230,15 @@ def test_substitute_direct():
     assert p.substitute({1: 1, 2: Q}) == ONE + Q
 
 
-def test_substitute_q_powers_gives_gaussian():
-    p = h_poly(1, VarRange(1, 2))
-    got = p.substitute({i: Q ** (i - 1) for i in (1, 2)})
-    assert got == ONE + Q
-    assert got == qbinom(2, 1)
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(9) for k in range(n + 1)])
+def test_substitute_q_powers_gives_gaussian(n, k):
+    # the specialisation x_i = q^(i-1) of h_k in n-k+1 variables enumerates
+    # k-multisets by weight: an independent definition of [n, k]
+    p = h_poly(k, VarRange(1, n - k + 1))
+    got = p.substitute({i: Q ** (i - 1) for i in range(1, n - k + 2)})
+    assert got == qbinom(n, k)
+    if (n, k) == (2, 1):
+        assert got == ONE + Q
 
 
 def test_substitute_all_ones_counts_terms():
@@ -265,10 +269,20 @@ def test_qbinom_small_values():
     assert coeff_list(qbinom(4, 2)) == qbinom_oracle(4, 2)
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(13))
 def test_qbinom_against_product_oracle(n):
     for k in range(n + 1):
         assert coeff_list(qbinom(n, k)) == qbinom_oracle(n, k)
+
+
+def test_qbinom_deep_row_narrow_column():
+    # [n, k] = [n, n - k] and its degree is k(n - k): a narrow coefficient
+    # of a deep row is exact, and one past the exponent bound is refused
+    # before the table is filled
+    line = sum((Q**i for i in range(400)), ZERO)
+    assert qbinom(400, 1) == qbinom(400, 399) == line
+    with pytest.raises(OverflowError, match="exponent 32942 of q"):
+        qbinom(363, 181)
 
 
 @pytest.mark.parametrize("n", range(9))
