@@ -25,12 +25,12 @@ shape = make_skew([1, 1, 0, 0], [4, 3, 3, 2])
 sel = IndexSelection.make(4, [0, 1, 2], [1, 3, 4])
 h = build_h_matrix(shape, sel)
 print("h-side matrix (rows A, columns B):")
-for r in range(h.rows):
-    print("  ", [str(h.entry(r, c)) for c in range(h.cols)])
+for row in h:
+    print("  ", [str(x) for x in row])
 e = build_e_matrix(shape, sel)
 print("e-side matrix (rows outside A, columns outside B):")
-for r in range(e.rows):
-    print("  ", [str(e.entry(r, c)) for c in range(e.cols)])
+for row in e:
+    print("  ", [str(x) for x in row])
 rep = verify_main(shape, sel, with_brute=True)
 print("det_h =", rep.det_h)
 print("det_e =", rep.det_e)
@@ -40,7 +40,7 @@ print()
 print("== why the classical minor-complement route falls short ==")
 probe = make_skew([2, 0, 0], [3, 3, 1])
 prod = matmul(build_full_E(probe), build_full_H(probe))
-print("(E*H)[0,2] =", prod.entry(0, 2), " (nonzero, so E and H are not inverse)")
+print("(E*H)[0,2] =", prod[0][2], " (nonzero, so E and H are not inverse)")
 rep = verify_main(probe, IndexSelection.make(3, [0, 1, 2], [1, 2, 3]))
 print("yet the duality still holds:", rep.det_h, "=", rep.det_e)
 print()

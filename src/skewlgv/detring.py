@@ -1,7 +1,7 @@
 """Division-free determinants over the polynomial ring, plus exact
 integer-matrix utilities (determinant, adjugate, complementary-minor check).
 
-Matrices are tabulated from an entry function over row and column labels.
+A matrix is the sequence of its rows, with no row or column labels.
 One row expansion, ``minors``, computes every minor of an entry grid: it
 is memoised on the pair of row and column bitmasks, so all the minors of
 one grid share their sub-minors.  The polynomial and the integer
@@ -13,8 +13,7 @@ independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .poly import Polynomial
 
@@ -34,44 +33,7 @@ class SizeMismatchError(ValueError):
     """Index sets fed to the minor check have incompatible sizes."""
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Row-major matrix of polynomials with sorted integer row/col labels."""
-
-    rows: int
-    cols: int
-    entries: tuple[Polynomial, ...]
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if len(self.row_labels) != self.rows or len(self.col_labels) != self.cols:
-            raise ValueError("label count does not match dimensions")
-        for labels in (self.row_labels, self.col_labels):
-            if any(a >= b for a, b in zip(labels, labels[1:])):
-                raise ValueError("labels must be strictly increasing")
-
-    @classmethod
-    def tabulate(
-        cls,
-        f: Callable[[int, int], Polynomial],
-        row_labels: Iterable[int],
-        col_labels: Iterable[int],
-    ) -> "PolyMatrix":
-        """The matrix whose entry in row label a, column label b is f(a, b)."""
-        rl = tuple(row_labels)
-        cl = tuple(col_labels)
-        return cls(len(rl), len(cl), tuple(f(a, b) for a in rl for b in cl), rl, cl)
-
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries[r * self.cols + c]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+Matrix = Sequence[Sequence]
 
 
 def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]:
@@ -113,19 +75,30 @@ def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]
     return minor
 
 
-def det(m: PolyMatrix) -> Polynomial:
+def _side(rows: Matrix) -> int:
+    """The side of a square matrix; NonSquareMatrixError for any other."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NonSquareMatrixError(f"not square: rows of lengths {[len(r) for r in rows]}")
+    return n
+
+
+def _square_minors(rows: Matrix, one, zero) -> tuple[Callable[[int, int], object], int]:
+    """The minor function of a square matrix over the ring of ``one`` and
+    ``zero``, and its full mask."""
+    n = _side(rows)
+    return minors([x for r in rows for x in r], n, one, zero), (1 << n) - 1
+
+
+def det(rows: Matrix) -> Polynomial:
     """Exact determinant; the empty 0x0 matrix has determinant 1."""
-    if not m.is_square():
-        raise NonSquareMatrixError(f"matrix is {m.rows}x{m.cols}")
-    full = (1 << m.rows) - 1
-    return minors(m.entries, m.rows, Polynomial.one(), Polynomial.zero())(full, full)
+    minor, full = _square_minors(rows, Polynomial.one(), Polynomial.zero())
+    return minor(full, full)
 
 
-def det_naive(m: PolyMatrix) -> Polynomial:
+def det_naive(rows: Matrix) -> Polynomial:
     """Full Leibniz permutation sum; independent oracle for det."""
-    if not m.is_square():
-        raise NonSquareMatrixError(f"matrix is {m.rows}x{m.cols}")
-    n = m.rows
+    n = _side(rows)
     if n > NAIVE_DIMENSION_LIMIT:
         raise DimensionGuardError(
             f"permutation sum limited to dimension {NAIVE_DIMENSION_LIMIT}, got {n}"
@@ -140,39 +113,27 @@ def det_naive(m: PolyMatrix) -> Polynomial:
         )
         term = Polynomial.one()
         for r in range(n):
-            term = term * m.entry(r, perm[r])
+            term = term * rows[r][perm[r]]
             if term.is_zero():
                 break
         acc = acc + (-term if inversions % 2 else term)
     return acc
 
 
-def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix product; labels carry over from a's rows and b's columns."""
-    if a.cols != b.rows:
-        raise SizeMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    entries = []
-    for r in range(a.rows):
-        for c in range(b.cols):
-            acc = Polynomial.zero()
-            for k in range(a.cols):
-                acc = acc + a.entry(r, k) * b.entry(k, c)
-            entries.append(acc)
-    return PolyMatrix(
-        rows=a.rows,
-        cols=b.cols,
-        entries=tuple(entries),
-        row_labels=a.row_labels,
-        col_labels=b.col_labels,
+def matmul(a: Matrix, b: Matrix) -> tuple[tuple[Polynomial, ...], ...]:
+    """Matrix product, as a tuple of row tuples."""
+    width = len(b[0]) if b else 0
+    if any(len(r) != len(b) for r in a) or any(len(r) != width for r in b):
+        raise SizeMismatchError(
+            f"rows of lengths {[len(r) for r in a]} times rows of lengths {[len(r) for r in b]}"
+        )
+    return tuple(
+        tuple(
+            sum((x * y for x, y in zip(row, col)), Polynomial.zero())
+            for col in zip(*b)
+        )
+        for row in a
     )
-
-
-def _int_minors(rows: Sequence[Sequence[int]]) -> tuple[Callable[[int, int], int], int]:
-    """The minor function of a square integer matrix, and its full mask."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NonSquareMatrixError("integer matrix is not square")
-    return minors([x for r in rows for x in r], n, 1, 0), (1 << n) - 1
 
 
 def _cofactors(minor: Callable[[int, int], int], full: int) -> list[list[int]]:
@@ -186,13 +147,13 @@ def _cofactors(minor: Callable[[int, int], int], full: int) -> list[list[int]]:
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by memoised row expansion; det([]) = 1."""
-    minor, full = _int_minors(rows)
+    minor, full = _square_minors(rows, 1, 0)
     return minor(full, full)
 
 
 def int_cofactor_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Matrix of signed minors; equals the transpose of the adjugate."""
-    return _cofactors(*_int_minors(rows))
+    return _cofactors(*_square_minors(rows, 1, 0))
 
 
 def jacobi_check(
@@ -210,7 +171,7 @@ def jacobi_check(
     singular matrices.  With empty complements both minors coincide with
     det(M) and the identity is trivially true.
     """
-    minor, full = _int_minors(m)
+    minor, full = _square_minors(m, 1, 0)
     d1 = len(m)
     a = sorted(a_set)
     b = sorted(b_set)
@@ -230,7 +191,7 @@ def jacobi_check(
     mask_a = sum(1 << i for i in a)
     mask_b = sum(1 << i for i in b)
     lhs = minor(mask_a, mask_b) * minor(full, full) ** (r - 1)
-    cof_minor, _ = _int_minors(_cofactors(minor, full))
+    cof_minor, _ = _square_minors(_cofactors(minor, full), 1, 0)
     sign = -1 if (sum(a) + sum(b)) % 2 else 1
     rhs = sign * cof_minor(full ^ mask_a, full ^ mask_b)
     return lhs == rhs

@@ -29,7 +29,7 @@ from functools import partial
 from typing import Callable
 
 from . import connectors as conn
-from .detring import PolyMatrix, minors
+from .detring import Matrix, minors
 from .lattice import build_L, build_R
 from .poly import LazyGrid, Polynomial, VarRange, e_poly, h_poly, qbinom
 from .shape import (
@@ -64,12 +64,14 @@ def entry_e(shape: SkewShape, a_p: int, b_p: int) -> Polynomial:
     return e_poly(d, VarRange(shape.alpha_part(a_p) + 1, shape.beta_part(b_p + 1)))
 
 
-def build_h_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
-    return PolyMatrix.tabulate(partial(entry_h, shape), sel.a_set, sel.b_set)
+def build_h_matrix(shape: SkewShape, sel: IndexSelection) -> Matrix:
+    """Row r, column c is ``entry_h(shape, A[r], B[c])``."""
+    return tuple(tuple(entry_h(shape, a, b) for b in sel.b_set) for a in sel.a_set)
 
 
-def build_e_matrix(shape: SkewShape, sel: IndexSelection) -> PolyMatrix:
-    return PolyMatrix.tabulate(partial(entry_e, shape), sel.a_comp, sel.b_comp)
+def build_e_matrix(shape: SkewShape, sel: IndexSelection) -> Matrix:
+    """Row r, column c is ``entry_e(shape, A^c[r], B^c[c])``."""
+    return tuple(tuple(entry_e(shape, a, b) for b in sel.b_comp) for a in sel.a_comp)
 
 
 @dataclass
@@ -262,12 +264,12 @@ def verify_aitken(m: int, n: int, sel: IndexSelection) -> AitkenReport:
 # full (n+1) x (n+1) matrices of the inverse-pair probe
 
 
-def build_full_H(shape: SkewShape) -> PolyMatrix:
+def build_full_H(shape: SkewShape) -> Matrix:
     full = range(shape.n + 1)
-    return PolyMatrix.tabulate(partial(entry_h, shape), full, full)
+    return tuple(tuple(entry_h(shape, a, b) for b in full) for a in full)
 
 
-def build_full_E(shape: SkewShape) -> PolyMatrix:
+def build_full_E(shape: SkewShape) -> Matrix:
     """Signed transpose of the e-side entries, (-1)^(i+j) * entry_e(j, i);
     over a rectangle it is the two-sided inverse of the full H matrix, but
     not in general."""
@@ -277,7 +279,7 @@ def build_full_E(shape: SkewShape) -> PolyMatrix:
         return -p if (i + j) % 2 else p
 
     full = range(shape.n + 1)
-    return PolyMatrix.tabulate(signed, full, full)
+    return tuple(tuple(signed(i, j) for j in full) for i in full)
 
 
 # ---------------------------------------------------------------------------

@@ -33,28 +33,6 @@ class Node(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of nonnegative parts (zeros permitted)."""
-
-    parts: tuple[int, ...]
-
-    @classmethod
-    def of(cls, parts: Sequence[int]) -> "Partition":
-        t = tuple(parts)
-        if any(p < 0 for p in t):
-            raise ShapeError(f"negative part in {t}")
-        if any(a < b for a, b in zip(t, t[1:])):
-            raise ShapeError(f"not weakly decreasing: {t}")
-        return cls(t)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-
-@dataclass(frozen=True)
 class SkewShape:
     """Pair of length-n compositions alpha <= beta bounding a skew diagram.
 
@@ -149,11 +127,11 @@ class SkewShape:
 
 def make_skew(alpha: Sequence[int], beta: Sequence[int]) -> SkewShape:
     """Validated skew shape from two weakly decreasing part lists."""
-    a = Partition.of(alpha)
-    b = Partition.of(beta)
-    if len(a) != len(b):
-        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
-    return SkewShape.from_compositions(a.parts, b.parts)
+    a, b = tuple(alpha), tuple(beta)
+    for parts in (a, b):
+        if any(x < y for x, y in zip(parts, parts[1:])):
+            raise ShapeError(f"not weakly decreasing: {parts}")
+    return SkewShape.from_compositions(a, b)
 
 
 @dataclass(frozen=True)

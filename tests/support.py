@@ -6,7 +6,6 @@ points.  Composition pairs need it for the connector bijection, since their
 designated points can sit strictly inside a line.
 """
 
-from skewlgv.detring import PolyMatrix
 from skewlgv.lattice import Lattice
 from skewlgv.poly import Polynomial
 from skewlgv.shape import Node
@@ -40,4 +39,4 @@ def is_partition_pair(shape):
 
 def identity_matrix(n):
     one, zero = Polynomial.one(), Polynomial.zero()
-    return PolyMatrix.tabulate(lambda r, c: one if r == c else zero, range(n), range(n))
+    return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))

@@ -16,7 +16,7 @@ from skewlgv.connectors import (
     tuple_count,
     weighted_path_count,
 )
-from skewlgv.detring import PolyMatrix, det
+from skewlgv.detring import det
 from skewlgv.identity import build_h_matrix
 from skewlgv.lattice import Node, build_L, build_R
 from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
@@ -36,11 +36,7 @@ FOUR_ROW_SEL = IndexSelection.make(4, [0, 1, 2], [1, 3, 4])
 
 
 def path_count_matrix(lat):
-    entries = [
-        weighted_path_count(lat, s, t) for s in lat.sources for t in lat.sinks
-    ]
-    m = len(lat.sources)
-    return PolyMatrix(m, m, tuple(entries), tuple(range(m)), tuple(range(m)))
+    return [[weighted_path_count(lat, s, t) for t in lat.sinks] for s in lat.sources]
 
 
 # --- single-pair enumeration --------------------------------------------------

@@ -4,13 +4,15 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from skewlgv import identity
-from skewlgv.detring import PolyMatrix, det, det_naive, int_det, matmul
+from skewlgv.detring import det, det_naive, int_det, matmul
 from skewlgv.identity import (
     VerificationReport,
     build_e_matrix,
     build_full_E,
     build_full_H,
     build_h_matrix,
+    entry_e,
+    entry_h,
     run_sweep,
     verify_aitken,
     verify_binomial,
@@ -44,8 +46,11 @@ PROBE_SEL = IndexSelection.make(3, [0, 1, 2], [1, 2, 3])
 
 def test_h_matrix_of_worked_example():
     m = build_h_matrix(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
-    assert m.row_labels == (0, 1, 2)
-    assert m.col_labels == (1, 3, 4)
+    # rows are read at A = (0, 1, 2), columns at B = (1, 3, 4)
+    assert [len(row) for row in m] == [3, 3, 3]
+    for r, a in enumerate((0, 1, 2)):
+        for c, b in enumerate((1, 3, 4)):
+            assert m[r][c] == entry_h(FOUR_ROW_SHAPE, a, b)
     expected = [
         [h_poly(1, VarRange(2, 4)), h_poly(3, VarRange(2, 3)), h_poly(4, VarRange(2, 2))],
         [ONE, h_poly(2, VarRange(2, 3)), h_poly(3, VarRange(2, 2))],
@@ -53,20 +58,23 @@ def test_h_matrix_of_worked_example():
     ]
     for r in range(3):
         for c in range(3):
-            assert m.entry(r, c) == expected[r][c]
+            assert m[r][c] == expected[r][c]
 
 
 def test_e_matrix_of_worked_example():
     m = build_e_matrix(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
-    assert m.row_labels == (3, 4)
-    assert m.col_labels == (0, 2)
+    # rows are read at A^c = (3, 4), columns at B^c = (0, 2)
+    assert [len(row) for row in m] == [2, 2]
+    for r, a_p in enumerate((3, 4)):
+        for c, b_p in enumerate((0, 2)):
+            assert m[r][c] == entry_e(FOUR_ROW_SHAPE, a_p, b_p)
     expected = [
         [e_poly(3, VarRange(1, 4)), e_poly(1, VarRange(1, 3))],
         [e_poly(4, VarRange(1, 4)), e_poly(2, VarRange(1, 3))],
     ]
     for r in range(2):
         for c in range(2):
-            assert m.entry(r, c) == expected[r][c]
+            assert m[r][c] == expected[r][c]
 
 
 def test_h_matrix_of_probe_shape():
@@ -78,10 +86,9 @@ def test_h_matrix_of_probe_shape():
     ]
     for r in range(3):
         for c in range(3):
-            assert m.entry(r, c) == expected[r][c]
+            assert m[r][c] == expected[r][c]
     e = build_e_matrix(PROBE_SHAPE, PROBE_SEL)
-    assert e.rows == e.cols == 1
-    assert e.entry(0, 0) == e_poly(3, VarRange(1, 3))
+    assert e == ((e_poly(3, VarRange(1, 3)),),)
 
 
 def test_full_selection_gives_unit_determinants():
@@ -90,12 +97,12 @@ def test_full_selection_gives_unit_determinants():
         for shape in skew_shapes(n, 3):
             h = build_h_matrix(shape, sel)
             for i in range(n + 1):
-                assert h.entry(i, i) == ONE
+                assert h[i][i] == ONE
                 for j in range(i):
-                    assert h.entry(i, j) == ZERO
+                    assert h[i][j] == ZERO
             assert det(h) == ONE
             e = build_e_matrix(shape, sel)
-            assert e.rows == e.cols == 0
+            assert e == ()
             assert det(e) == ONE
 
 
@@ -262,22 +269,22 @@ def test_full_matrices_inverse_on_rectangles():
         for n in (1, 2, 3):
             shape = rectangle(m, n)
             prod = matmul(build_full_E(shape), build_full_H(shape))
-            assert prod.entries == identity_matrix(n + 1).entries
+            assert prod == identity_matrix(n + 1)
 
 
 def test_full_matrices_not_inverse_on_probe_shape():
     shape = PROBE_SHAPE
     prod = matmul(build_full_E(shape), build_full_H(shape))
     x = Polynomial.variable
-    assert prod.entry(0, 2) == x(1) * x(2)
-    assert prod.entries != identity_matrix(4).entries
+    assert prod[0][2] == x(1) * x(2)
+    assert prod != identity_matrix(4)
 
 
 def test_full_matrices_staircase_regression():
     # frozen: the staircase(2) pair happens to be mutually inverse
     shape = staircase(2)
     prod = matmul(build_full_E(shape), build_full_H(shape))
-    assert prod.entries == identity_matrix(3).entries
+    assert prod == identity_matrix(3)
 
 
 # --- differential checks of the matrix assembly ----------------------------------
@@ -293,8 +300,8 @@ def _grid():
 def test_h_matrix_is_minor_of_full_H():
     for shape, full_h, _ in _grid():
         for sel in selections(shape.n):
-            # the full matrix's labels are its indices
-            minor = PolyMatrix.tabulate(full_h.entry, sel.a_set, sel.b_set)
+            # the full matrix is indexed by 0..n
+            minor = tuple(tuple(full_h[a][b] for b in sel.b_set) for a in sel.a_set)
             assert build_h_matrix(shape, sel) == minor
 
 
@@ -302,13 +309,14 @@ def test_e_matrix_is_signed_transposed_minor_of_full_E():
     for shape, _, full_e in _grid():
         for sel in selections(shape.n):
             e = build_e_matrix(shape, sel)
-            assert (e.row_labels, e.col_labels) == (sel.a_comp, sel.b_comp)
+            # row r is read at A^c[r], column c at B^c[c]
+            assert [len(row) for row in e] == [len(sel.b_comp)] * len(sel.a_comp)
             for r, a_p in enumerate(sel.a_comp):
                 for c, b_p in enumerate(sel.b_comp):
-                    expected = full_e.entry(b_p, a_p)
+                    expected = full_e[b_p][a_p]
                     if (a_p + b_p) % 2:
                         expected = -expected
-                    assert e.entry(r, c) == expected
+                    assert e[r][c] == expected
 
 
 def test_det_agrees_with_int_det_at_random_points():
@@ -321,9 +329,7 @@ def test_det_agrees_with_int_det_at_random_points():
         point = {v: rng.randint(-9, 9) for v in range(1, max(shape.beta) + 1)}
         for sel in selections(shape.n):
             for m in (build_h_matrix(shape, sel), build_e_matrix(shape, sel)):
-                rows = [
-                    [m.entry(r, c).evaluate(point) for c in range(m.cols)] for r in range(m.rows)
-                ]
+                rows = [[x.evaluate(point) for x in row] for row in m]
                 assert det(m).evaluate(point) == int_det(rows)
 
 
@@ -347,8 +353,8 @@ def test_det_agrees_with_det_naive_on_random_shapes(problem):
     # entries' terms, so matrices past the budget are left to the point check
     shape, sel = problem
     for m in (build_h_matrix(shape, sel), build_e_matrix(shape, sel)):
-        assert m.rows <= 6
-        if sum(len(x.terms) for x in m.entries) <= 120:
+        assert len(m) <= 6
+        if sum(len(x.terms) for row in m for x in row) <= 120:
             assert det(m) == det_naive(m)
 
 

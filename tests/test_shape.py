@@ -5,7 +5,6 @@ import pytest
 import skewlgv.shape as shape_module
 from skewlgv.shape import (
     IndexSelection,
-    Partition,
     ShapeError,
     SkewShape,
     composition_shapes,
@@ -23,9 +22,9 @@ from skewlgv.shape import (
 from support import is_partition_pair
 
 
-def near_staircase_check(p: Partition) -> bool:
+def near_staircase_check(parts: tuple[int, ...]) -> bool:
     """True when each part is at most 1 less than the preceding part."""
-    return all(a - b <= 1 for a, b in zip(p.parts, p.parts[1:]))
+    return all(a - b <= 1 for a, b in zip(parts, parts[1:]))
 
 
 def test_make_skew_valid():
@@ -40,6 +39,11 @@ def test_make_skew_valid():
 def test_make_skew_rejects_non_partition():
     with pytest.raises(ShapeError, match="not weakly decreasing"):
         make_skew([0, 1], [2, 2])
+
+
+def test_make_skew_rejects_negative_part():
+    with pytest.raises(ShapeError, match="negative"):
+        make_skew([0, -1], [1, 0])
 
 
 def test_make_skew_rejects_containment_violation():
@@ -132,9 +136,9 @@ def test_clause_memo_computes_each_pair_once(monkeypatch):
 
 
 def test_near_staircase_check():
-    assert near_staircase_check(Partition.of([4, 3, 3, 2]))
-    assert not near_staircase_check(Partition.of([2, 0, 0]))
-    assert near_staircase_check(Partition.of([0, 0, 0]))
+    assert near_staircase_check((4, 3, 3, 2))
+    assert not near_staircase_check((2, 0, 0))
+    assert near_staircase_check((0, 0, 0))
 
 
 def test_staircase_and_rectangle():
@@ -191,8 +195,8 @@ def test_near_staircase_implies_hypothesis_exhaustive():
         sels = list(selections(n))
         for shape in skew_shapes(n, 4):
             if not (
-                near_staircase_check(Partition.of(shape.alpha))
-                and near_staircase_check(Partition.of(shape.beta))
+                near_staircase_check(shape.alpha)
+                and near_staircase_check(shape.beta)
             ):
                 continue
             for sel in sels:
