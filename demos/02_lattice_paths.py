@@ -9,8 +9,8 @@ from skewlgv import (
     Polynomial,
     build_L,
     build_R,
-    enumerate_connectors,
     enumerate_paths,
+    iter_connectors,
     make_skew,
     render,
     weighted_path_count,
@@ -43,7 +43,7 @@ print("weighted count:", weighted_path_count(left, src, snk), "  (= h_2(x2, x3))
 print()
 
 print("== vertex-disjoint connectors ==")
-blues = enumerate_connectors(left, disjoint_only=True)
+blues = list(iter_connectors(left, disjoint_only=True))
 print(f"{len(blues)} disjoint blue connectors; the first:")
 for k, p in enumerate(blues[0].paths, start=1):
     print(f"  path {k}:", " -> ".join(f"({u.i},{u.j})" for u in p.nodes))

@@ -26,7 +26,7 @@ print()
 print("== initial-segment symmetric polynomials, two derivations ==")
 sel3 = IndexSelection.make(3, [0, 1], [2, 3])
 srep = verify_sympoly_binomial(3, sel3)
-print("direct det_h        =", srep.det_h_direct)
+print("direct det_h        =", srep.det_h)
 print("via staircase shape =", srep.det_h_staircase)
 print("routes agree:", srep.routes_agree)
 print()

@@ -14,6 +14,7 @@ brute-force enumerator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -89,18 +90,8 @@ def _selection(args: argparse.Namespace) -> IndexSelection:
     return sel
 
 
-def _problem(args: argparse.Namespace) -> tuple[SkewShape, IndexSelection]:
-    return _shape(args), _selection(args)
-
-
 # report fields renamed in JSON output, and fields left out of it
-_JSON_KEYS = {
-    "a_set": "A",
-    "b_set": "B",
-    "isolated": "isolated_points",
-    "det_h_direct": "det_h",
-    "det_e_direct": "det_e",
-}
+_JSON_KEYS = {"a_set": "A", "b_set": "B"}
 _JSON_OMIT = frozenset({"det_h_staircase", "det_e_staircase"})
 
 
@@ -135,8 +126,8 @@ def _print_report(report: identity.VerificationReport) -> None:
     if report.violating_pairs:
         pairs = ", ".join(f"(a'={a}, b'={b})" for a, b in report.violating_pairs)
         print(f"violating pairs: {pairs}")
-    if report.isolated:
-        pts = ", ".join(f"({p.i},{p.j})" for p in report.isolated)
+    if report.isolated_points:
+        pts = ", ".join(f"({p.i},{p.j})" for p in report.isolated_points)
         print(f"isolated designated points: {pts}")
     print(f"det_h = {report.det_h}")
     print(f"det_e = {report.det_e}")
@@ -147,7 +138,7 @@ def _print_report(report: identity.VerificationReport) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    shape, sel = _problem(args)
+    shape, sel = _shape(args), _selection(args)
     report = identity.verify_main(
         shape, sel, with_brute=args.brute, cap=_tuple_cap()
     )
@@ -178,7 +169,7 @@ def _print_connector(idx: int, c: conn.Connector, indent: str = "") -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    shape, sel = _problem(args)
+    shape, sel = _shape(args), _selection(args)
     cap = _tuple_cap()
     if args.complement and args.flavor != "L":
         raise ShapeError("--complement requires --flavor L")
@@ -191,7 +182,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     lat = build_L(shape, sel) if args.flavor == "L" else build_R(shape, sel)
     r_lat = build_R(shape, sel) if args.complement else None
-    items = conn.enumerate_connectors(lat, disjoint_only=args.disjoint, cap=cap)
+    items = list(conn.iter_connectors(lat, disjoint_only=args.disjoint, cap=cap))
     disjoint = [c.is_disjoint() for c in items]
     total = Polynomial.zero()
     for c, ok in zip(items, disjoint):
@@ -229,7 +220,7 @@ _SPECIAL_TEXT = {
     "binomial": "det(C(b,a)) = {r.lhs}, complement det = {r.rhs}",
     "qbinomial": "lhs = {r.det_lhs}\nrhs = {r.det_rhs}",
     "sympoly": (
-        "det_h = {r.det_h_direct}\ndet_e = {r.det_e_direct}\n"
+        "det_h = {r.det_h}\ndet_e = {r.det_e}\n"
         "staircase route agrees: {agrees}"
     ),
     "aitken": "det_h = {r.det_h}\ndet_e = {r.det_e}",
@@ -270,25 +261,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
-    stream = None
 
     def emit(report: identity.VerificationReport) -> None:
-        if stream is not None:
-            stream.write(json.dumps(_report_dict(report)) + "\n")
+        stream.write(json.dumps(_report_dict(report)) + "\n")
 
     try:
-        if args.jsonl:
-            stream = open(args.jsonl, "w", encoding="utf-8")
-        try:
+        with open(args.jsonl, "w", encoding="utf-8") if args.jsonl else contextlib.nullcontext() as stream:
             summary = identity.run_sweep(
                 args.max_n,
                 args.max_part,
                 hypothesis_only=args.hypothesis_only,
-                per_case=emit,
+                per_case=None if stream is None else emit,
             )
-        finally:
-            if stream is not None:
-                stream.close()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

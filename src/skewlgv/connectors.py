@@ -12,11 +12,12 @@ any path is built.
 The bijection sends a vertex-disjoint blue connector to the red connector
 obtained by walking R from each red source, taking the free step except at
 nodes where the blue connector descends, where the red walk descends too
-(the two descents cross the same box, hence carry the same weight).  The
-inverse construction walks L from the descents of a red connector.  Either
-way the complement takes one connector and the one lattice it walks, and
-refuses a lattice of the connector's own color.  The step directions and
-the path counts belong to ``lattice``; this module only walks them.
+(the two descents cross the same box, hence carry the same weight).  Its
+inverse is the same walk on L from the descents of a red connector, so
+``complementary`` takes a connector of either color and the one lattice of
+the other color that it walks, and refuses a lattice of the connector's
+own color.  The step directions and the path counts belong to ``lattice``;
+this module only walks them.
 """
 
 from __future__ import annotations
@@ -170,21 +171,14 @@ def iter_connectors(
     disjoint_only: bool = True,
     cap: int | None = None,
 ) -> Iterator[Connector]:
+    """lat's source-to-sink path tuples, only the vertex-disjoint ones unless
+    disjoint_only is false; the cap is checked before any path is built."""
     check_tuple_cap(lat, cap)
     color = _COLORS[lat.flavor]
     # with no pairs, the product is the one empty connector
     for combo in itertools.product(*pair_path_lists(lat)):
         if not disjoint_only or _disjoint(combo):
             yield Connector(combo, _weight(combo), color)
-
-
-def enumerate_connectors(
-    lat: Lattice,
-    disjoint_only: bool = True,
-    cap: int | None = None,
-) -> list[Connector]:
-    """Materialised list of (disjoint) source-to-sink path tuples."""
-    return list(iter_connectors(lat, disjoint_only, cap))
 
 
 def connector_sum(lat: Lattice, cap: int | None = None) -> Polynomial:
@@ -216,16 +210,17 @@ def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) 
                 raise ComplementError(
                     f"required {lat.flavor}-descent from {cur} is missing"
                 )
-            break  # stranded; _complement's contract check reports it
+            break  # stranded; complementary's contract check reports it
         weight = weight * w
         nodes.append(nxt)
         cur = nxt
     return Path(tuple(nodes), weight)
 
 
-def _complement(c: Connector, target: Lattice) -> Connector:
+def complementary(c: Connector, target: Lattice) -> Connector:
     """The connector of target's color that walks from each of target's
-    sources, descending exactly where c descends."""
+    sources, descending exactly where the disjoint connector c descends:
+    blue on R gives its red complement, red on L the inverse."""
     color = _COLORS[target.flavor]
     if color == c.flavor:
         raise ValueError(f"a {c.flavor} connector has no complement on {target.flavor}")
@@ -243,22 +238,3 @@ def _complement(c: Connector, target: Lattice) -> Connector:
                 f"walk ended at {p.nodes[-1]}, expected sink {expected}"
             )
     return Connector(paths, weight, color)
-
-
-def complementary(blue: Connector, r_lat: Lattice) -> Connector:
-    """Red connector on r_lat complementary to a disjoint blue connector."""
-    if blue.flavor != "blue":
-        raise ValueError("complementary expects a blue connector")
-    return _complement(blue, r_lat)
-
-
-def complementary_inverse(red: Connector, l_lat: Lattice) -> Connector:
-    """Blue connector on l_lat whose complement is the given red one."""
-    if red.flavor != "red":
-        raise ValueError("complementary_inverse expects a red connector")
-    return _complement(red, l_lat)
-
-
-def intersection_nodes(c1: Connector, c2: Connector) -> frozenset[Node]:
-    """Nodes lying on both connectors."""
-    return c1.node_set & c2.node_set

@@ -114,7 +114,7 @@ def det_naive(rows: Matrix) -> Polynomial:
         term = Polynomial.one()
         for r in range(n):
             term = term * rows[r][perm[r]]
-            if term.is_zero():
+            if not term:
                 break
         acc = acc + (-term if inversions % 2 else term)
     return acc

@@ -90,7 +90,7 @@ class VerificationReport:
     equal: bool
     brute_blue: Polynomial | None = None
     brute_red: Polynomial | None = None
-    isolated: tuple[Node, ...] = ()
+    isolated_points: tuple[Node, ...] = ()
     row_connected: bool = True
 
 
@@ -142,7 +142,7 @@ class ShapeCheck(MinorPair):
             det_h=dh,
             det_e=de,
             equal=dh == de,
-            isolated=shape.isolated_points,
+            isolated_points=shape.isolated_points,
             row_connected=shape.row_connected,
         )
 
@@ -219,8 +219,8 @@ class SympolyReport:
     n: int
     a_set: tuple[int, ...]
     b_set: tuple[int, ...]
-    det_h_direct: Polynomial
-    det_e_direct: Polynomial
+    det_h: Polynomial
+    det_e: Polynomial
     det_h_staircase: Polynomial
     det_e_staircase: Polynomial
     equal: bool

@@ -253,9 +253,6 @@ class Polynomial:
     def terms(self) -> Mapping[Monomial, int]:
         return _TupleTerms(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -451,6 +451,22 @@ def test_sweep_jsonl_write_failure_is_input_error(capsys):
     assert err.startswith("error: ")
 
 
+def test_sweep_without_jsonl_passes_no_writer(capsys, monkeypatch):
+    calls = []
+    real = identity.run_sweep
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identity, "run_sweep", spy)
+    code, out, _ = run(capsys, ["sweep", "--max-n", "2", "--max-part", "1"])
+    assert code == 0
+    assert out.startswith("cases: ")
+    assert len(calls) == 1
+    assert calls[0].get("per_case") is None
+
+
 def test_sweep_hypothesis_only(capsys):
     code, out, _ = run(
         capsys, ["sweep", "--max-n", "2", "--max-part", "2", "--hypothesis-only", "--json"]

@@ -7,12 +7,10 @@ from skewlgv.connectors import (
     Connector,
     EnumerationCapError,
     complementary,
-    complementary_inverse,
     connector_sum,
-    enumerate_connectors,
     enumerate_paths,
+    iter_connectors,
     Path,
-    intersection_nodes,
     tuple_count,
     weighted_path_count,
 )
@@ -104,7 +102,7 @@ def test_paths_in_lex_order():
 def test_empty_selection_yields_single_empty_connector():
     sel = IndexSelection.make(4, [], [])
     lat = build_L(FOUR_ROW_SHAPE, sel)
-    conns = enumerate_connectors(lat)
+    conns = list(iter_connectors(lat))
     assert len(conns) == 1
     assert conns[0].paths == ()
     assert conns[0].weight == Polynomial.one()
@@ -114,7 +112,7 @@ def test_empty_selection_yields_single_empty_connector():
 def test_equal_selection_forces_horizontal_connector():
     sel = IndexSelection.make(4, [0, 2, 3], [0, 2, 3])
     lat = build_L(FOUR_ROW_SHAPE, sel)
-    conns = enumerate_connectors(lat, disjoint_only=True)
+    conns = list(iter_connectors(lat, disjoint_only=True))
     assert len(conns) == 1
     only = conns[0]
     assert only.weight == Polynomial.one()
@@ -126,7 +124,7 @@ def test_six_row_configuration_enumeration_and_lgv():
     shape = make_skew([2, 1, 1, 0, 0, 0], [6, 6, 5, 4, 4, 3])
     sel = IndexSelection.make(6, [0, 1, 3, 4], [1, 3, 5, 6])
     lat = build_L(shape, sel)
-    conns = enumerate_connectors(lat, disjoint_only=True)
+    conns = list(iter_connectors(lat, disjoint_only=True))
     assert conns
     assert connector_sum(lat) == det(path_count_matrix(lat))
     assert connector_sum(lat) == det(build_h_matrix(shape, sel))
@@ -138,7 +136,7 @@ def test_enumeration_cap():
     lat = build_L(shape, sel)
     assert tuple_count(lat) > 10
     with pytest.raises(EnumerationCapError):
-        enumerate_connectors(lat, cap=10)
+        list(iter_connectors(lat, cap=10))
 
 
 def test_tuple_count_matches_enumerated_path_lists():
@@ -180,7 +178,7 @@ def test_all_horizontal_complement():
     sel = IndexSelection.make(4, [0, 2, 3], [0, 2, 3])
     lat = build_L(FOUR_ROW_SHAPE, sel)
     red_lat = build_R(FOUR_ROW_SHAPE, sel)
-    blue = enumerate_connectors(lat, disjoint_only=True)[0]
+    blue = list(iter_connectors(lat, disjoint_only=True))[0]
     red = complementary(blue, red_lat)
     for p in red.paths:
         assert all(u.i == v.i for u, v in p.steps())
@@ -191,11 +189,11 @@ def test_empty_connector_roundtrip():
     sel = IndexSelection.make(4, list(range(5)), list(range(5)))
     lat = build_L(FOUR_ROW_SHAPE, sel)
     red_lat = build_R(FOUR_ROW_SHAPE, sel)
-    blues = enumerate_connectors(lat, disjoint_only=True)
+    blues = list(iter_connectors(lat, disjoint_only=True))
     assert len(blues) == 1
     red = complementary(blues[0], red_lat)
     assert red.paths == ()
-    assert complementary_inverse(red, lat) == blues[0]
+    assert complementary(red, lat) == blues[0]
 
 
 def bijection_suite(shape, sel, lat=None, red_lat=None):
@@ -203,8 +201,8 @@ def bijection_suite(shape, sel, lat=None, red_lat=None):
         lat = build_L(shape, sel)
     if red_lat is None:
         red_lat = build_R(shape, sel)
-    blues = enumerate_connectors(lat, disjoint_only=True)
-    reds = enumerate_connectors(red_lat, disjoint_only=True)
+    blues = list(iter_connectors(lat, disjoint_only=True))
+    reds = list(iter_connectors(red_lat, disjoint_only=True))
     images = [complementary(b, red_lat) for b in blues]
     # weight-preserving injection onto the red side, with inverse
     assert [b.weight for b in blues] == [r.weight for r in images]
@@ -215,8 +213,8 @@ def bijection_suite(shape, sel, lat=None, red_lat=None):
     assert len({key(r) for r in images}) == len(images)
     assert sorted(key(r) for r in images) == sorted(key(r) for r in reds)
     for b, r in zip(blues, images):
-        assert complementary_inverse(r, lat) == b
-        shared = intersection_nodes(b, r)
+        assert complementary(r, lat) == b
+        shared = b.node_set & r.node_set
         assert shared == b.descent_nodes()
         assert shared == r.descent_nodes()
         assert len(shared) == sum(sel.b_set) - sum(sel.a_set)
@@ -262,10 +260,10 @@ def test_lemma_intersections_only_at_descents():
         for sel in selections(2):
             lat = build_L(shape, sel)
             red_lat = build_R(shape, sel)
-            for blue in enumerate_connectors(lat, disjoint_only=True):
+            for blue in iter_connectors(lat, disjoint_only=True):
                 red = complementary(blue, red_lat)
                 down = blue.descent_nodes()
-                for node in intersection_nodes(blue, red):
+                for node in blue.node_set & red.node_set:
                     assert node in down
 
 
@@ -318,22 +316,22 @@ def test_complementary_rejects_wrong_flavor():
     sel = IndexSelection.make(4, [0], [1])
     lat = build_L(FOUR_ROW_SHAPE, sel)
     red_lat = build_R(FOUR_ROW_SHAPE, sel)
-    red = enumerate_connectors(red_lat, disjoint_only=True)[0]
+    red = list(iter_connectors(red_lat, disjoint_only=True))[0]
     with pytest.raises(ValueError):
         complementary(red, red_lat)
-    blue = enumerate_connectors(lat, disjoint_only=True)[0]
+    blue = list(iter_connectors(lat, disjoint_only=True))[0]
     with pytest.raises(ValueError):
-        complementary_inverse(blue, lat)
+        complementary(blue, lat)
     # a lattice of the connector's own color is refused, not walked back
     # onto the connector itself
     lat = build_L(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
     red_lat = build_R(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
-    blue = enumerate_connectors(lat, disjoint_only=True)[0]
+    blue = list(iter_connectors(lat, disjoint_only=True))[0]
     red = complementary(blue, red_lat)
     with pytest.raises(ValueError):
         complementary(blue, lat)
     with pytest.raises(ValueError):
-        complementary_inverse(red, red_lat)
+        complementary(red, red_lat)
 
 
 def test_complement_reports_a_missing_forced_descent():
@@ -353,7 +351,7 @@ def test_complement_contract_violation_on_degenerate_shape():
     sel = IndexSelection.make(2, [0], [0])
     lat = build_L(shape, sel)
     red_lat = build_R(shape, sel)
-    blues = enumerate_connectors(lat, disjoint_only=True)
+    blues = list(iter_connectors(lat, disjoint_only=True))
     assert len(blues) == 1
     with pytest.raises(ComplementError):
         complementary(blues[0], red_lat)

@@ -113,7 +113,7 @@ def test_verify_main_worked_example():
     assert rep.brute_blue == rep.det_h
     assert rep.brute_red == rep.det_e
     assert rep.row_connected
-    assert rep.isolated == ()
+    assert rep.isolated_points == ()
 
 
 def test_verify_main_probe_shape():
@@ -225,7 +225,7 @@ def test_sympoly_trivial_and_example():
     rep = verify_sympoly_binomial(3, sel)
     assert rep.equal
     assert rep.routes_agree
-    assert rep.det_h_direct == rep.det_h_staircase
+    assert rep.det_h == rep.det_h_staircase
 
 
 def test_sympoly_routes_agree_exhaustively():
@@ -410,7 +410,7 @@ def test_run_sweep_matches_per_case_oracle():
             det_h=dh,
             det_e=de,
             equal=dh == de,
-            isolated=shape.isolated_points,
+            isolated_points=shape.isolated_points,
             row_connected=shape.row_connected,
         ), (shape, sel)
     hyp_only = []
