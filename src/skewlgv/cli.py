@@ -9,6 +9,10 @@ a verify or special selection whose larger determinant would have more
 than DIMENSION_LIMIT rows.  The environment variable SKEWLGV_MAX_TUPLES
 (a positive integer) overrides the default path-tuple cap of the
 brute-force enumerator.
+
+`main` may be called many times in one process: it builds its parser on
+the first call and reuses it.  Every indented JSON output goes through one
+writer, `_json_text`.
 """
 
 from __future__ import annotations
@@ -118,6 +122,41 @@ def _report_dict(report, kind: str | None = None) -> dict:
     return payload
 
 
+def _json_text(value) -> str:
+    """The text ``json.dumps`` writes at an indent of 2, exactly, for
+    dicts with str keys, lists, tuples and JSON scalars.
+
+    Within one call the text of each tuple object is kept per nesting
+    level, so a path or node that several connectors share is encoded
+    once.  The memo goes by identity: equal tuples need not print alike,
+    since (1,) == (True,) == (1.0,).  Scalars and keys go through the
+    stdlib encoder.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def block(items: list[str], brackets: str, level: int) -> str:
+        if not items:
+            return brackets
+        inner = "\n" + "  " * (level + 1)
+        return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+    def text(v, level: int) -> str:
+        if isinstance(v, tuple):
+            key = (level, id(v))  # v lives in value for the whole call
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = block([text(x, level + 1) for x in v], "[]", level)
+            return out
+        if isinstance(v, list):
+            return block([text(x, level + 1) for x in v], "[]", level)
+        if isinstance(v, dict):
+            items = [f"{json.dumps(k)}: {text(x, level + 1)}" for k, x in v.items()]
+            return block(items, "{}", level)
+        return json.dumps(v)
+
+    return text(value, 0)
+
+
 def _print_report(report: identity.VerificationReport) -> None:
     print(f"shape: alpha={list(report.alpha)} beta={list(report.beta)}")
     print(f"selection: A={list(report.a_set)} B={list(report.b_set)}")
@@ -143,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         shape, sel, with_brute=args.brute, cap=_tuple_cap()
     )
     if args.json:
-        print(json.dumps(_report_dict(report), indent=2))
+        print(_json_text(_report_dict(report)))
     else:
         _print_report(report)
     if report.equal:
@@ -156,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _connector_dict(c: conn.Connector) -> dict:
     return {
         "flavor": c.flavor,
-        "paths": [[[p.i, p.j] for p in path.nodes] for path in c.paths],
+        "paths": [path.nodes for path in c.paths],
         "weight": str(c.weight),
     }
 
@@ -202,7 +241,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 for c, ok in zip(items, disjoint)
                 if ok
             ]
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return EXIT_OK
     for idx, (c, ok) in enumerate(zip(items, disjoint), start=1):
         _print_connector(idx, c)
@@ -242,7 +281,7 @@ def cmd_special(args: argparse.Namespace) -> int:
     agrees = getattr(rep, "routes_agree", True)
     equal = rep.equal and agrees
     if args.json:
-        print(json.dumps(_report_dict(rep, kind), indent=2))
+        print(_json_text(_report_dict(rep, kind)))
     else:
         print(_SPECIAL_TEXT[kind].format(r=rep, agrees="yes" if agrees else "NO"))
         print(f"equal: {'yes' if equal else 'NO'}")
@@ -277,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
-        print(json.dumps(_report_dict(summary), indent=2))
+        print(_json_text(_report_dict(summary)))
     else:
         print(f"cases: {summary.total}")
         print(f"hypothesis holds, equal:   {summary.holds_equal}")
@@ -305,7 +344,11 @@ def _add_problem_args(p: argparse.ArgumentParser, *, selection_required: bool) -
     p.add_argument("--B", type=_int_list, required=selection_required, default=None, help="row subset B, comma list (may be empty)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call (not at import, so the
+    `cmd_*` functions it dispatches to are the module's at that time) and
+    shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="skewlgv",
         description="Exact checks of the h/e determinant duality on skew-diagram lattices.",

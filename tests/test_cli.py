@@ -5,10 +5,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewlgv import connectors, identity
-from skewlgv.cli import DIMENSION_LIMIT, main
+from skewlgv.cli import DIMENSION_LIMIT, _json_text, build_parser, main
 from skewlgv.poly import Polynomial
+from skewlgv.shape import Node
 
 DATA = Path(__file__).parent / "data"
 
@@ -171,6 +173,13 @@ def test_enumerate_complement_matches_golden(capsys):
     code, out, _ = run(capsys, [*argv, "--json"])
     assert code == 0
     assert out == (DATA / "enumerate_complement.json").read_text()
+
+
+def test_enumerate_all_connectors_matches_golden(capsys):
+    # without --disjoint each path object recurs in many connectors
+    code, out, _ = run(capsys, ["enumerate", *FOUR_ROW, "--flavor", "R", "--json"])
+    assert code == 0
+    assert out == (DATA / "enumerate_R_all.json").read_text()
 
 
 def test_enumerate_complement_on_gapped_shape_exits_cleanly(capsys):
@@ -356,6 +365,55 @@ def test_verify_brute_walks_paths_longer_than_the_recursion_limit(capsys):
     sums = {line.split(" = ")[1] for line in out.splitlines() if " = " in line}
     assert sums == {" + ".join(f"x{j}" for j in range(1, 1501))}
     assert (code, out[-24:]) == (0, "determinants equal: yes\n")
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False)
+    | st.text(st.sampled_from('ab"\\\n\t/\x00\x7fé€\u2028😀'), max_size=6)
+    | st.builds(Node, st.integers(-3, 3), st.integers(-3, 3))
+)
+
+
+def _json_containers(children):
+    seqs = st.lists(children, max_size=4)
+    return (
+        seqs
+        | seqs.map(tuple)
+        | st.dictionaries(st.text(max_size=3), children, max_size=4)
+        # one tuple object at three places, two of them one level deeper
+        | seqs.map(tuple).map(lambda t: [t, [t], {"t": t}])
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40))
+@example([(), [], {}, ((),), [[]], {"": {}}])
+@example([(1,), (True,), (1.0,), (0,), (False,), (-0.0,)])  # equal, not alike
+@example({"a": ([1], {"b": (2,)}), "c": ([1], {"b": (2,)})})  # unhashable tuples
+def test_json_text_matches_stdlib_indented_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    build_parser.cache_clear()
+    golden = ["verify", "--n", "2", "--alpha", "2,0", "--beta", "2,2", "--A", "0", "--B", "1",
+              "--brute", "--json"]
+    bad_calls = [
+        ["verify", "--n", "x", "--alpha", "2,0", "--beta", "2,2", "--A", "0", "--B", "1"],
+        ["sweep", "--max-n", "1", "--max-part", "1", "--hypothesis-only", "--all"],
+    ]
+    for bad in bad_calls:
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out, err = run(capsys, golden)
+        assert (code, err) == (0, "")
+        assert out == (DATA / "verify_isolated.json").read_text()
+    assert build_parser.cache_info().misses == 1
 
 
 def test_special_binomial(capsys):
