@@ -2,12 +2,15 @@
 bijection.
 
 A connector is a tuple of paths joining the i-th source to the i-th sink,
-"non-intersecting" meaning vertex-disjoint.  The brute-force enumerator
-walks the full Cartesian product of per-pair path lists and filters; it is
-deliberately naive because its whole job is to be an oracle that the
-determinants are checked against.  A configurable cap guards against
-combinatorial explosion; it is checked on the lattice's path counts before
-any path is built.
+"non-intersecting" meaning vertex-disjoint.  The brute-force enumerator is
+the oracle that the determinants are checked against, so it reads nothing
+of them: it lists every path of each pair and walks the product of those
+lists depth first, choosing one pair's path at a time.  A path that meets
+the prefix chosen so far is cut there, with every tuple that would extend
+it; each prefix carries its weight down the walk.  A configurable cap
+guards against combinatorial explosion; it bounds the full product, not
+the tuples the cut leaves, and is checked on the lattice's path counts
+before any path is built.
 
 The bijection sends a vertex-disjoint blue connector to the red connector
 obtained by walking R from each red source, taking the free step except at
@@ -22,7 +25,6 @@ this module only walks them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -172,13 +174,44 @@ def iter_connectors(
     cap: int | None = None,
 ) -> Iterator[Connector]:
     """lat's source-to-sink path tuples, only the vertex-disjoint ones unless
-    disjoint_only is false; the cap is checked before any path is built."""
+    disjoint_only is false, in the order of the Cartesian product of the
+    per-pair path lists (the last pair's path varies fastest).
+
+    The walk is depth first over the pairs.  Under disjoint_only a candidate
+    path that meets a node of the prefix chosen so far is skipped with
+    every tuple that extends it.  Each depth carries its prefix's weight,
+    folded from one in pair order, so a connector costs one product.  The
+    cap bounds the full product, not the tuples the walk visits, and is
+    checked before any path is built."""
     check_tuple_cap(lat, cap)
     color = _COLORS[lat.flavor]
-    # with no pairs, the product is the one empty connector
-    for combo in itertools.product(*pair_path_lists(lat)):
-        if not disjoint_only or _disjoint(combo):
-            yield Connector(combo, _weight(combo), color)
+    lists = pair_path_lists(lat)
+    if not lists:  # the product of no lists is the one empty connector
+        yield Connector((), Polynomial.one(), color)
+        return
+    last = len(lists) - 1
+    prefix: list[Path] = []
+    # per depth: the candidates left there, and the weight and nodes of the
+    # prefix above it
+    stack = [(iter(lists[0]), Polynomial.one(), frozenset())]
+    while stack:
+        candidates, weight, used = stack[-1]
+        depth = len(prefix)
+        for p in candidates:
+            if disjoint_only and not used.isdisjoint(p.node_set):
+                continue
+            if depth == last:
+                yield Connector((*prefix, p), weight * p.weight, color)
+                continue
+            prefix.append(p)
+            stack.append(
+                (iter(lists[depth + 1]), weight * p.weight, used | p.node_set)
+            )
+            break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def connector_sum(lat: Lattice, cap: int | None = None) -> Polynomial:

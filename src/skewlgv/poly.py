@@ -321,6 +321,16 @@ class Polynomial:
         if not self._terms or not other._terms:
             return _ZERO
         a, b = self._terms, other._terms
+        if len(a) == 1 == len(b):
+            # monomial times monomial, most products of path weights: one
+            # key addition, checked like the general product below
+            ((m1, c1),) = a.items()
+            ((m2, c2),) = b.items()
+            m = m1 + m2
+            out = {m: c1 * c2}
+            if _guard_bits(m):
+                _check_exponents(out)
+            return Polynomial._raw(out)
         if len(a) < len(b):
             a, b = b, a
         # The OR of a term map's keys bounds each of its exponents, so the

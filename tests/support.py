@@ -6,6 +6,9 @@ points.  Composition pairs need it for the connector bijection, since their
 designated points can sit strictly inside a line.
 """
 
+import itertools
+
+from skewlgv.connectors import _disjoint, enumerate_paths
 from skewlgv.lattice import Lattice
 from skewlgv.poly import Polynomial
 from skewlgv.shape import Node
@@ -40,3 +43,20 @@ def is_partition_pair(shape):
 def identity_matrix(n):
     one, zero = Polynomial.one(), Polynomial.zero()
     return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
+
+
+def naive_connectors(lat, disjoint_only=True):
+    """(paths, weight, flavor) of each of lat's connectors, from the full
+    Cartesian product of the per-pair path lists filtered afterwards, with
+    each weight folded from one in pair order."""
+    color = {"L": "blue", "R": "red"}[lat.flavor]
+    lists = [enumerate_paths(lat, s, t) for s, t in zip(lat.sources, lat.sinks)]
+    out = []
+    for combo in itertools.product(*lists):
+        if disjoint_only and not _disjoint(combo):
+            continue
+        weight = Polynomial.one()
+        for p in combo:
+            weight = weight * p.weight
+        out.append((combo, weight, color))
+    return out

@@ -235,6 +235,21 @@ def test_tuple_cap_checked_before_any_work(capsys, monkeypatch, command):
     assert err == "enumeration cap exceeded: 1352078 path tuples exceed the cap of 1000\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "--brute"], ["enumerate", "--flavor", "L", "--disjoint"]])
+def test_tuple_cap_reads_the_product_when_few_tuples_are_disjoint(capsys, monkeypatch, command):
+    # 1,000 blue path tuples on the 4 x 4 square but only 10 disjoint ones:
+    # the cap bounds the product, whatever the walk would cut
+    monkeypatch.setenv("SKEWLGV_MAX_TUPLES", "999")
+    monkeypatch.setattr(connectors, "enumerate_paths", _refuse)
+    monkeypatch.setattr(connectors, "Path", _refuse)
+    monkeypatch.setattr(identity, "minors", _refuse)
+    square = ["--n", "4", "--alpha", "0,0,0,0", "--beta", "4,4,4,4"]
+    code, out, err = run(capsys, [command[0], *square, "--A", "0,1,2", "--B", "2,3,4", *command[1:]])
+    assert code == 3
+    assert out == ""
+    assert err == "enumeration cap exceeded: 1000 path tuples exceed the cap of 999\n"
+
+
 def test_default_tuple_cap_is_applied_by_the_enumerator(capsys, monkeypatch):
     # with SKEWLGV_MAX_TUPLES unset the CLI passes no cap, and connectors
     # applies its own default

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+from skewlgv import connectors
 from skewlgv.connectors import (
+    DEFAULT_TUPLE_CAP,
     ComplementError,
     Connector,
     EnumerationCapError,
@@ -15,7 +17,7 @@ from skewlgv.connectors import (
     weighted_path_count,
 )
 from skewlgv.detring import det
-from skewlgv.identity import build_h_matrix
+from skewlgv.identity import build_h_matrix, verify_main
 from skewlgv.lattice import Node, build_L, build_R
 from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
 from skewlgv.shape import (
@@ -27,7 +29,7 @@ from skewlgv.shape import (
     selections,
     skew_shapes,
 )
-from support import is_partition_pair, line_extreme_lattice
+from support import is_partition_pair, line_extreme_lattice, naive_connectors
 
 FOUR_ROW_SHAPE = make_skew([1, 1, 0, 0], [4, 3, 3, 2])
 FOUR_ROW_SEL = IndexSelection.make(4, [0, 1, 2], [1, 3, 4])
@@ -137,6 +139,52 @@ def test_enumeration_cap():
     assert tuple_count(lat) > 10
     with pytest.raises(EnumerationCapError):
         list(iter_connectors(lat, cap=10))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_connectors_match_the_naive_product(n):
+    # the depth-first walk gives the filtered product's connectors, in its
+    # order and with its weights, with the crossing cut on and off
+    sels = list(selections(n))
+    for shape in composition_shapes(n, 3):
+        for sel in sels:
+            for lat in (build_L(shape, sel), build_R(shape, sel)):
+                for disjoint_only in (True, False):
+                    got = [
+                        (c.paths, c.weight, c.flavor)
+                        for c in iter_connectors(lat, disjoint_only)
+                    ]
+                    expected = naive_connectors(lat, disjoint_only)
+                    assert got == expected, (shape.alpha, shape.beta, sel, lat.flavor)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a path was built before the tuple cap was checked")
+
+
+def test_cap_bounds_the_product_not_the_kept_connectors(monkeypatch):
+    # 1,000 blue path tuples on the 4 x 4 square, of which 10 are disjoint:
+    # the walk would visit far fewer than the cap, but the cap reads the
+    # full product
+    shape = make_skew([0] * 4, [4] * 4)
+    sel = IndexSelection.make(4, [0, 1, 2], [2, 3, 4])
+    lat = build_L(shape, sel)
+    assert tuple_count(lat) == 1000
+    assert len(list(iter_connectors(lat, cap=1000))) == 10
+    monkeypatch.setattr(connectors, "enumerate_paths", _refuse)
+    with pytest.raises(EnumerationCapError, match="1000 path tuples exceed the cap of 999"):
+        next(iter_connectors(lat, cap=999))
+
+
+def test_near_cap_square_brute_sums_equal_det_h():
+    # 9,834,496 blue path tuples, just under the default cap; 490 of them
+    # are disjoint
+    shape = make_skew([0] * 6, [6] * 6)
+    sel = IndexSelection.make(6, [0, 1, 2, 3], [3, 4, 5, 6])
+    assert tuple_count(build_L(shape, sel)) == 9_834_496 < DEFAULT_TUPLE_CAP
+    report = verify_main(shape, sel, with_brute=True)
+    assert report.brute_blue == report.det_h
+    assert report.brute_red == report.det_h
 
 
 def test_tuple_count_matches_enumerated_path_lists():

@@ -471,6 +471,41 @@ def test_arithmetic_against_tuple_oracle(a, b, k):
     check_against_oracle(lambda: pa**k, oracle_pow(a, k))
 
 
+single_terms = st.tuples(
+    st.dictionaries(st.integers(0, 45), exponents, max_size=3).map(
+        lambda exps: tuple(sorted(exps.items()))
+    ),
+    st.one_of(st.sampled_from([-1, 2, -3, 2**70, -(2**70)]), st.integers(-999, 999)).filter(
+        bool
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(single_terms, single_terms)
+@example(((), -2), (((0, 3),), 5))
+def test_monomial_product_equals_tuple_form(a, b):
+    # one term times one term gives the tuple-form constructor's product;
+    # past the bound it names the product's largest exponent, as the
+    # general product does
+    (m1, c1), (m2, c2) = a, b
+    v, e = max(oracle_canonical(m1 + m2), key=lambda ve: ve[1], default=(0, 0))
+    if e > EXPONENT_BOUND:
+        name = "q" if v == 0 else f"x{v}"
+        with pytest.raises(OverflowError, match=rf"^exponent {e} of {name} exceeds"):
+            Polynomial({m1: c1}) * Polynomial({m2: c2})
+    else:
+        assert Polynomial({m1: c1}) * Polynomial({m2: c2}) == Polynomial({m1 + m2: c1 * c2})
+
+
+def test_monomial_product_at_and_past_bound():
+    half = Polynomial({((1, 2**14),): 1})
+    assert Polynomial({((1, 2**14 - 1),): 1}) * half == X1**EXPONENT_BOUND
+    with pytest.raises(OverflowError) as exc:
+        half * half
+    assert str(exc.value) == f"exponent {2**15} of x1 exceeds the bound {EXPONENT_BOUND}"
+
+
 # --- text and display order against a tuple oracle ----------------------------
 
 
