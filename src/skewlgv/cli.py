@@ -222,11 +222,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     lat = build_L(shape, sel) if args.flavor == "L" else build_R(shape, sel)
     r_lat = build_R(shape, sel) if args.complement else None
     items = list(conn.iter_connectors(lat, disjoint_only=args.disjoint, cap=cap))
-    disjoint = [c.is_disjoint() for c in items]
+    # under --disjoint the walk has already cut every crossing tuple
+    disjoint = [args.disjoint or c.is_disjoint() for c in items]
     total = Polynomial.zero()
     for c, ok in zip(items, disjoint):
         if ok:
             total = total + c.weight
+    # every complement is built before anything is printed, so a failed
+    # walk leaves stdout empty
+    reds = [
+        conn.complementary(c, r_lat) if args.complement and ok else None
+        for c, ok in zip(items, disjoint)
+    ]
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -236,17 +243,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "disjoint_weight_sum": str(total),
         }
         if args.complement:
-            payload["complements"] = [
-                _connector_dict(conn.complementary(c, r_lat))
-                for c, ok in zip(items, disjoint)
-                if ok
-            ]
+            payload["complements"] = [_connector_dict(red) for red in reds if red]
         print(_json_text(payload))
         return EXIT_OK
-    for idx, (c, ok) in enumerate(zip(items, disjoint), start=1):
+    for idx, (c, red) in enumerate(zip(items, reds), start=1):
         _print_connector(idx, c)
-        if args.complement and ok:
-            red = conn.complementary(c, r_lat)
+        if red:
             print("  complementary:")
             _print_connector(idx, red, indent="  ")
     print(f"{len(items)} connectors, disjoint weight sum: {total}")

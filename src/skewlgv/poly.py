@@ -20,18 +20,18 @@ immutable; every operation returns a fresh canonical polynomial.
 
 Outside this module a monomial is a tuple of (variable index, exponent)
 pairs, sorted by variable index, with every exponent positive.  The
-constructor accepts that form (in any order, repeats adding), `terms` and
-`sorted_terms` return it, and `variables`, `total_degree`, `evaluate` and
-`substitute` decode keys to read it.
+constructor accepts that form (in any order, repeats adding), and `terms`
+and `sorted_terms` return it, in the display order.
 
 Terms display, in text and in `sorted_terms`, in one order: higher total
 degree first, and within one degree the exponent vectors (e_q, e_1, e_2,
 ...) in descending lexicographic order, so a higher power of q, then of
 x1, then of x2, and so on, comes first: ``x1^2 + x1*x2 + x2^2 + x1 + 1``.
-The order keeps text output stable for golden tests.  Both are built in
-one pass per key over the fields the polynomial spans, which reads the
-key's degree, its place in the order and each of its variable powers
-together.
+The order keeps text output stable for golden tests.  One walk, the only
+reader of keys, builds both: one pass per key over its nonzero fields
+reads its degree, its place in the order and each of its variable powers
+together.  The tuple form, and with it `variables`, `total_degree`,
+`evaluate` and `substitute`, is read from the same walk.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ def _encode(m: Monomial) -> int:
     return sum(_power_key(v, e) for v, e in exps.items())
 
 
-def _decode(key: int) -> Monomial:
-    out = []
-    v = 0
-    while key:
-        e = key & _FIELD_MASK
-        if e:
-            out.append((v, e))
-        key >>= FIELD_BITS
-        v += 1
-    return tuple(out)
-
-
 def _guard_bits(key: int) -> int:
     """The guard bits set in key, over as many fields as key spans."""
     fields = -(-key.bit_length() // FIELD_BITS)
@@ -117,11 +105,8 @@ def _check_exponents(terms: dict[int, int]) -> None:
     the keys must not have carried from one field into the next."""
     for key in terms:
         if _guard_bits(key):
-            raise _overflow(*max(_decode(key), key=lambda ve: ve[1]))
-
-
-def _monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+            ((_, _, powers),) = _display_rows({key: 1}, _POWER_PAIRS)
+            raise _overflow(*max(powers, key=lambda ve: ve[1]))
 
 
 def _var_text(v: int) -> str:
@@ -154,36 +139,46 @@ _POWER_TEXTS = LazyGrid(_power_text, 1 << FIELD_BITS)
 
 
 def _display_rows(terms: dict[int, int], pieces: Mapping[int, object]) -> list:
-    """(rank, coefficient, pieces) of every term, in the display order.
+    """(rank, coefficient, pieces) of every term, in the display order; the
+    only reader of packed keys.
 
-    One pass per key over the fields the polynomial spans reads its total
+    One pass per key over its nonzero fields, lowest first, reads its total
     degree, its fields in reverse order (q's on top) and, for each power
-    x_v^e in it, pieces[v << FIELD_BITS | e].  The rank is the degree above
-    the reversed fields, so descending ranks are the display order, and no
-    two terms share a rank."""
-    fields = -(-max(terms, default=0).bit_length() // FIELD_BITS)
-    bases = range(0, fields << FIELD_BITS, 1 << FIELD_BITS)
-    shift = fields * FIELD_BITS
+    x_v^e in it, pieces[v << FIELD_BITS | e]; a run of empty fields is
+    skipped in one shift, found from the key's lowest set bit.  The rank is
+    the degree above the reversed fields, padded to the polynomial's span,
+    so descending ranks are the display order, and no two terms share a
+    rank."""
+    shift = -(-max(terms, default=0).bit_length() // FIELD_BITS) * FIELD_BITS
+    w, mask, step = FIELD_BITS, _FIELD_MASK, 1 << FIELD_BITS
     rows = []
     for key, c in terms.items():
-        degree = reversed_key = 0
+        degree = reversed_key = base = 0
         powers = []
-        for base in bases:
-            e = key & _FIELD_MASK
-            key >>= FIELD_BITS
-            reversed_key = reversed_key << FIELD_BITS | e
+        while key:
+            e = key & mask
             if e:
+                key >>= w
+                reversed_key = reversed_key << w | e
                 degree += e
                 powers.append(pieces[base | e])
-        rows.append((degree << shift | reversed_key, c, powers))
+                base += step
+            else:
+                # the empty fields below the field of the lowest set bit
+                run = ((key & -key).bit_length() - 1) // w
+                key >>= run * w
+                reversed_key <<= run * w
+                base += run << w
+        pad = shift - (base >> w) * w
+        rows.append((degree << shift | reversed_key << pad, c, powers))
     rows.sort(reverse=True)
     return rows
 
 
 class _TupleTerms(Mapping):
-    """Term map of a polynomial with its keys in tuple form, decoded as they
-    are read; a lookup refuses a malformed monomial as the constructor
-    does."""
+    """Term map of a polynomial with its keys in tuple form, iterated in the
+    display order; a lookup refuses a malformed monomial as the
+    constructor does."""
 
     __slots__ = ("_packed",)
 
@@ -194,7 +189,7 @@ class _TupleTerms(Mapping):
         return len(self._packed)
 
     def __iter__(self) -> Iterator[Monomial]:
-        return map(_decode, self._packed)
+        return (tuple(m) for _, _, m in _display_rows(self._packed, _POWER_PAIRS))
 
     def __getitem__(self, m: Monomial) -> int:
         return self._packed[_encode(m)]
@@ -366,20 +361,20 @@ class Polynomial:
 
     def variables(self) -> set[int]:
         """Indices of all variables that actually occur."""
-        return {v for v, _ in _decode(reduce(or_, self._terms, 0))}
+        return {v for m, _ in self.sorted_terms() for v, _ in m}
 
     def total_degree(self) -> int:
         """Maximum total degree over the terms; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(_monomial_degree(_decode(m)) for m in self._terms)
+        rows = self.sorted_terms()
+        # the first term in the display order has the highest degree
+        return sum(e for _, e in rows[0][0]) if rows else 0
 
     def evaluate(self, values: Mapping[int, int]) -> int:
         """Exact integer evaluation; every occurring variable needs a value."""
         total = 0
-        for m, c in self._terms.items():
+        for m, c in self.sorted_terms():
             term = c
-            for v, e in _decode(m):
+            for v, e in m:
                 if v not in values:
                     raise MissingVariableError(
                         f"no value assigned to {_var_text(v)}"
@@ -400,9 +395,9 @@ class Polynomial:
             images[v] = Polynomial.integer(val) if isinstance(val, int) else val
         power_cache: dict[tuple[int, int], Polynomial] = {}
         acc = _ZERO
-        for m, c in self._terms.items():
+        for m, c in self.sorted_terms():
             term = Polynomial.integer(c)
-            for v, e in _decode(m):
+            for v, e in m:
                 if v not in images:
                     raise MissingVariableError(
                         f"no substitution given for {_var_text(v)}"

@@ -182,6 +182,34 @@ def test_enumerate_all_connectors_matches_golden(capsys):
     assert out == (DATA / "enumerate_R_all.json").read_text()
 
 
+def test_enumerate_disjoint_takes_the_walks_word(capsys, monkeypatch):
+    # under --disjoint the walk has cut every crossing tuple, so no
+    # connector is checked again; the outputs stay the goldens
+    monkeypatch.setattr(connectors.Connector, "is_disjoint", _refuse)
+    argv = ["enumerate", *FOUR_ROW, "--flavor", "L", "--disjoint", "--complement"]
+    assert run(capsys, argv)[:2] == (0, (DATA / "enumerate_complement.txt").read_text())
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert (code, out) == (0, (DATA / "enumerate_complement.json").read_text())
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_enumerate_failed_complement_leaves_stdout_empty(capsys, monkeypatch, mode):
+    walked = []
+    complementary = connectors.complementary
+
+    def fail_second(c, target):
+        walked.append(c)
+        if len(walked) == 2:
+            raise connectors.ComplementError("second walk stranded")
+        return complementary(c, target)
+
+    monkeypatch.setattr(connectors, "complementary", fail_second)
+    argv = ["enumerate", *FOUR_ROW, "--flavor", "L", "--disjoint", "--complement", *mode]
+    code, out, err = run(capsys, argv)
+    assert (code, out, len(walked)) == (2, "", 2)
+    assert err == "complementary walk failed: second walk stranded\n"
+
+
 def test_enumerate_complement_on_gapped_shape_exits_cleanly(capsys):
     argv = [
         "enumerate",
@@ -380,6 +408,24 @@ def test_verify_brute_walks_paths_longer_than_the_recursion_limit(capsys):
     sums = {line.split(" = ")[1] for line in out.splitlines() if " = " in line}
     assert sums == {" + ".join(f"x{j}" for j in range(1, 1501))}
     assert (code, out[-24:]) == (0, "determinants equal: yes\n")
+
+
+# one row of 5000 boxes: det_h and det_e are each the sum of 5000
+# variables, one 16-bit field apiece, so each key spans up to 5000 fields
+WIDE_ROW = ["--n", "1", "--alpha", "0", "--beta", "5000", "--A", "0", "--B", "1"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_verify_prints_a_wide_sparse_polynomial_in_bounded_time(capsys, mode):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", *WIDE_ROW, *mode])
+    assert time.perf_counter() - start < 10
+    want = " + ".join(f"x{i}" for i in range(1, 5001))
+    if mode:
+        det_h = json.loads(out)["det_h"]
+    else:
+        (det_h,) = [line[len("det_h = "):] for line in out.splitlines() if line.startswith("det_h = ")]
+    assert (code, det_h) == (0, want)
 
 
 _JSON_SCALARS = (

@@ -504,23 +504,28 @@ def test_monomial_product_at_and_past_bound():
     with pytest.raises(OverflowError) as exc:
         half * half
     assert str(exc.value) == f"exponent {2**15} of x1 exceeds the bound {EXPONENT_BOUND}"
+    # the same past a run of 1998 empty fields
+    x2000 = Polynomial.variable(2000)
+    with pytest.raises(OverflowError) as exc:
+        (X1 * x2000 ** 2**14) * x2000 ** 2**14
+    assert str(exc.value) == f"exponent {2**15} of x2000 exceeds the bound {EXPONENT_BOUND}"
 
 
 # --- text and display order against a tuple oracle ----------------------------
 
 
-def oracle_sorted_terms(p: Polynomial) -> list:
+def oracle_sorted_terms(terms) -> list:
     """The terms in display order, from the tuple form alone: descending
     degree, then [(v, -e), ...] ascending."""
     return sorted(
-        p.terms.items(),
+        terms.items(),
         key=lambda t: (-sum(e for _, e in t[0]), [(v, -e) for v, e in t[0]]),
     )
 
 
-def oracle_str(p: Polynomial) -> str:
+def oracle_str(terms) -> str:
     pieces = []
-    for m, c in oracle_sorted_terms(p):
+    for m, c in oracle_sorted_terms(terms):
         body = "*".join(
             ("q" if v == 0 else f"x{v}") + (f"^{e}" if e > 1 else "") for v, e in m
         )
@@ -559,5 +564,41 @@ text_polynomials = st.dictionaries(text_monomials, text_coefficients, max_size=8
 @example(Polynomial.variable(20) ** 256 - 12 * Q**255 + X1 * X2)
 @example(X1**EXPONENT_BOUND * Polynomial.variable(29) - X1**EXPONENT_BOUND)
 def test_text_and_order_against_tuple_oracle(p):
-    assert p.sorted_terms() == oracle_sorted_terms(p)
-    assert str(p) == oracle_str(p)
+    assert p.sorted_terms() == oracle_sorted_terms(p.terms)
+    assert str(p) == oracle_str(p.terms)
+
+
+# a few terms over up to 2001 variables: each key spans up to 2001 fields,
+# most of them empty
+WIDE = 2000
+wide_terms = st.dictionaries(
+    st.dictionaries(
+        st.one_of(st.integers(0, 3), st.integers(0, WIDE)), st.integers(1, 3), max_size=3
+    ).map(lambda exps: tuple(sorted(exps.items()))),
+    text_coefficients,
+    max_size=6,
+).map(oracle_clean)
+WIDE_VALUES = {v: v % 7 - 3 for v in range(WIDE + 1)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_terms)
+@example({((1, 1),): 1, ((WIDE, 2),): -1, ((0, 1), (WIDE, 1)): 5, (): 2})
+def test_wide_sparse_polynomials_against_tuple_oracle(terms):
+    p = Polynomial(terms)
+    order = oracle_sorted_terms(terms)
+    assert p.sorted_terms() == order
+    assert str(p) == oracle_str(terms)
+    assert list(p.terms) == [m for m, _ in order]
+    assert dict(p.terms) == terms
+    assert p.variables() == {v for m in terms for v, _ in m}
+    assert p.total_degree() == max((sum(e for _, e in m) for m in terms), default=0)
+    assert p.evaluate(WIDE_VALUES) == sum(
+        c * math.prod(WIDE_VALUES[v] ** e for v, e in m) for m, c in terms.items()
+    )
+    # reversing the variables, q <-> x2000, x1 <-> x1999, ...
+    mirror = {v: Polynomial.variable(WIDE - v) for v in range(WIDE + 1)}
+    assert p.substitute(mirror) == Polynomial(
+        {oracle_canonical((WIDE - v, e) for v, e in m): c for m, c in terms.items()}
+    )
+
