@@ -3,7 +3,7 @@
 Run with:  python demos/01_symmetric_polynomials.py
 """
 
-from skewlgv import Polynomial, VarRange, e_poly, h_poly, newton_residual, qbinom
+from skewlgv import Polynomial, e_poly, h_poly, newton_residual, qbinom
 
 x1, x2, x3 = (Polynomial.variable(i) for i in (1, 2, 3))
 q = Polynomial.q()
@@ -15,9 +15,9 @@ print("cancellation is exact:", x1 + x2 - x2 - x1, "(the zero polynomial)")
 print()
 
 print("== complete homogeneous and elementary polynomials ==")
-print("h_2(x2, x3)     =", h_poly(2, VarRange(2, 3)))
-print("e_2(x1, x2, x3) =", e_poly(2, VarRange(1, 3)))
-print("h_3 over no variables =", h_poly(3, VarRange(1, 0)), "   h_0 =", h_poly(0, VarRange(1, 0)))
+print("h_2(x2, x3)     =", h_poly(2, 2, 3))
+print("e_2(x1, x2, x3) =", e_poly(2, 1, 3))
+print("h_3 over no variables =", h_poly(3, 1, 0), "   h_0 =", h_poly(0, 1, 0))
 print()
 
 print("== Gaussian binomial coefficients ==")

@@ -198,7 +198,8 @@ def iter_connectors(
         candidates, weight, used = stack[-1]
         depth = len(prefix)
         for p in candidates:
-            if disjoint_only and not used.isdisjoint(p.node_set):
+            # the first depth's prefix is empty, so its paths need no node set
+            if disjoint_only and used and not used.isdisjoint(p.node_set):
                 continue
             if depth == last:
                 yield Connector((*prefix, p), weight * p.weight, color)

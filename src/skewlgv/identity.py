@@ -31,10 +31,11 @@ from typing import Callable
 from . import connectors as conn
 from .detring import Matrix, minors
 from .lattice import build_L, build_R
-from .poly import LazyGrid, Polynomial, VarRange, e_poly, h_poly, qbinom
+from .poly import LazyGrid, Polynomial, e_poly, h_poly, qbinom
 from .shape import (
     IndexSelection,
     Node,
+    ShapeError,
     SkewShape,
     parallelogram_hypothesis,
     rectangle,
@@ -46,22 +47,15 @@ from .shape import (
 
 def entry_h(shape: SkewShape, a: int, b: int) -> Polynomial:
     """Single h-side matrix entry."""
-    d = b - a
-    if d < 0:
-        return Polynomial.zero()
-    if d == 0:
-        return Polynomial.one()
-    return h_poly(d, VarRange(shape.alpha_part(a + 1) + 1, shape.beta_part(b)))
+    return h_poly(b - a, shape.alpha_part(a + 1) + 1, shape.beta_part(b))
 
 
 def entry_e(shape: SkewShape, a_p: int, b_p: int) -> Polynomial:
     """Single e-side matrix entry."""
-    d = a_p - b_p
-    if d < 0:
-        return Polynomial.zero()
-    if d == 0:
-        return Polynomial.one()
-    return e_poly(d, VarRange(shape.alpha_part(a_p) + 1, shape.beta_part(b_p + 1)))
+    # the parts read below exist only when a' > b'
+    if a_p <= b_p:
+        return e_poly(a_p - b_p, 1, 0)
+    return e_poly(a_p - b_p, shape.alpha_part(a_p) + 1, shape.beta_part(b_p + 1))
 
 
 def build_h_matrix(shape: SkewShape, sel: IndexSelection) -> Matrix:
@@ -154,8 +148,11 @@ def verify_main(
     cap: int | None = None,
 ) -> VerificationReport:
     """Compute both determinants and, optionally, both brute-force
-    connector sums.  Raises only on enumeration overflow, which is checked
-    on both lattices before any other work."""
+    connector sums.  Raises only on a selection of another size than the
+    shape and on enumeration overflow, checked on both lattices, before
+    any other work."""
+    if sel.n != shape.n:
+        raise ShapeError(f"selection on 0..{sel.n} for a shape of {shape.n} rows")
     if with_brute:
         l_lat, r_lat = build_L(shape, sel), build_R(shape, sel)
         conn.check_tuple_cap(l_lat, cap)
@@ -231,8 +228,8 @@ def verify_sympoly_binomial(n: int, sel: IndexSelection) -> SympolyReport:
     """Initial-segment symmetric polynomial duality, checked directly and
     re-derived from the staircase shape by relabelling x_i -> x_{n+1-i}."""
     dh, de = MinorPair(
-        lambda a, b: h_poly(b - a, VarRange(1, a + 1)),
-        lambda a_p, b_p: e_poly(a_p - b_p, VarRange(1, a_p)),
+        lambda a, b: h_poly(b - a, 1, a + 1),
+        lambda a_p, b_p: e_poly(a_p - b_p, 1, a_p),
         n, Polynomial.one(), Polynomial.zero(),
     ).dets(sel)
     relabel = {i: Polynomial.variable(n + 1 - i) for i in range(1, n + 1)}

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .poly import Polynomial
-from .shape import IndexSelection, Node, SkewShape, line_points
+from .shape import IndexSelection, Node, ShapeError, SkewShape, line_points
 
 # per flavor: the free horizontal step, then the weighted descent, as (di, dj)
 STEPS = {"L": ((0, 1), (1, 0)), "R": ((0, -1), (1, -1))}
@@ -61,12 +61,19 @@ def endpoints(
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Immutable weighted DAG with row-ordered sources and sinks."""
+    """Immutable weighted DAG with row-ordered sources and sinks; an unknown
+    flavor, or unequal numbers of sources and sinks, raises ShapeError."""
 
     flavor: str  # "L" or "R"
     shape: SkewShape
     sources: tuple[Node, ...] = ()
     sinks: tuple[Node, ...] = ()
+
+    def __post_init__(self):
+        if self.flavor not in STEPS:
+            raise ShapeError(f"unknown lattice flavor {self.flavor!r}; expected L or R")
+        if len(self.sources) != len(self.sinks):
+            raise ShapeError(f"{len(self.sources)} sources but {len(self.sinks)} sinks")
 
     def successors(self, u: Node) -> tuple[tuple[Node, Polynomial], ...]:
         """Out-steps of u with their weights, in the deterministic step

@@ -32,6 +32,10 @@ reader of keys, builds both: one pass per key over its nonzero fields
 reads its degree, its place in the order and each of its variable powers
 together.  The tuple form, and with it `variables`, `total_degree`,
 `evaluate` and `substitute`, is read from the same walk.
+
+`h_poly(d, lo, hi)` and `e_poly(d, lo, hi)` take the variable range x_lo,
+..., x_hi as two ints and are the one home of the degree conventions that
+every h/e entry relies on.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import itertools
 from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache, reduce
 from operator import or_
-from typing import NamedTuple
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -53,21 +56,6 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 class MissingVariableError(ValueError):
     """A substitution did not assign every variable of the polynomial."""
-
-
-class VarRange(NamedTuple):
-    """Contiguous variable range x_lo, ..., x_hi; empty when hi < lo."""
-
-    lo: int
-    hi: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.hi < self.lo
-
-    @property
-    def width(self) -> int:
-        return max(0, self.hi - self.lo + 1)
 
 
 def _overflow(v: int, e: int) -> OverflowError:
@@ -466,8 +454,9 @@ def _e_cached(d: int, lo: int, hi: int) -> Polynomial:
     return Polynomial._raw(terms)
 
 
-def h_poly(d: int, vars: VarRange) -> Polynomial:
-    """Complete homogeneous symmetric polynomial of degree d over a range.
+def h_poly(d: int, lo: int, hi: int) -> Polynomial:
+    """Complete homogeneous symmetric polynomial of degree d in x_lo, ...,
+    x_hi, no variables when hi < lo.
 
     Conventions: degree 0 gives 1 even over no variables; negative degree
     gives 0; positive degree over an empty range gives 0.
@@ -476,15 +465,16 @@ def h_poly(d: int, vars: VarRange) -> Polynomial:
         return _ZERO
     if d == 0:
         return _ONE
-    if vars.is_empty:
+    if hi < lo:
         return _ZERO
-    if vars.lo < 1:
+    if lo < 1:
         raise ValueError("symmetric polynomial ranges start at x1 or later")
-    return _h_cached(d, vars.lo, vars.hi)
+    return _h_cached(d, lo, hi)
 
 
-def e_poly(d: int, vars: VarRange) -> Polynomial:
-    """Elementary symmetric polynomial of degree d over a range.
+def e_poly(d: int, lo: int, hi: int) -> Polynomial:
+    """Elementary symmetric polynomial of degree d in x_lo, ..., x_hi, no
+    variables when hi < lo.
 
     Degree 0 gives 1; negative degree, or degree exceeding the number of
     variables, gives 0.
@@ -493,11 +483,11 @@ def e_poly(d: int, vars: VarRange) -> Polynomial:
         return _ZERO
     if d == 0:
         return _ONE
-    if vars.is_empty or d > vars.width:
+    if d > hi - lo + 1:
         return _ZERO
-    if vars.lo < 1:
+    if lo < 1:
         raise ValueError("symmetric polynomial ranges start at x1 or later")
-    return _e_cached(d, vars.lo, vars.hi)
+    return _e_cached(d, lo, hi)
 
 
 # _QBINOM_ROWS[m][j] is the Gaussian coefficient [m, j] for j up to the
@@ -541,9 +531,8 @@ def newton_residual(d: int, nvars: int) -> Polynomial:
     """
     if d <= 0:
         raise ValueError("newton_residual requires d > 0")
-    rng = VarRange(1, nvars)
     acc = _ZERO
     for i in range(d + 1):
-        term = e_poly(i, rng) * h_poly(d - i, rng)
+        term = e_poly(i, 1, nvars) * h_poly(d - i, 1, nvars)
         acc = acc + (-term if i % 2 else term)
     return acc

@@ -5,6 +5,10 @@ Parts are read 1-indexed through ``SkewShape.alpha_part``/``beta_part``,
 to match the usual convention for parts; storage is a plain tuple.  Index
 selections live on {0, ..., n} and always carry their complements.
 
+A ``SkewShape`` checks its part tuples, and an ``IndexSelection`` its
+sets, when built, raising ``ShapeError`` before any work; ``make_skew``
+adds the check that both part tuples are partitions.
+
 The shape owns the diagram's geometry: ``has_box`` is the one box rule,
 and the box corners, the isolated designated points, row-connectedness
 and the parallelogram clauses are computed once per shape, on first use.
@@ -36,31 +40,32 @@ class Node(NamedTuple):
 class SkewShape:
     """Pair of length-n compositions alpha <= beta bounding a skew diagram.
 
-    ``make_skew`` validates that both are partitions; ``from_compositions``
-    skips the monotonicity check (the connector bijection works for any
-    pointwise-dominated pair, so those tests need the relaxed constructor).
+    The constructor checks the pair: equal, nonzero lengths, int parts, no
+    negative part, and alpha <= beta pointwise; n is their length.  Parts
+    need not decrease (the connector bijection works for any pointwise
+    dominated pair); ``make_skew`` also checks that both are partitions.
     """
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
-    n: int
+    n: int = field(init=False)
 
-    @classmethod
-    def from_compositions(
-        cls, alpha: Sequence[int], beta: Sequence[int]
-    ) -> "SkewShape":
-        a = tuple(alpha)
-        b = tuple(beta)
+    def __post_init__(self):
+        a, b = tuple(self.alpha), tuple(self.beta)
         if len(a) != len(b):
             raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
         if not a:
             raise ShapeError("need at least one row")
+        if not all(isinstance(x, int) for x in a + b):
+            raise ShapeError(f"parts must be ints: {a} and {b}")
         if any(x < 0 for x in a) or any(x < 0 for x in b):
             raise ShapeError("negative entries")
         for i, (x, y) in enumerate(zip(a, b), start=1):
             if x > y:
                 raise ShapeError(f"containment violated at row {i}: {x} > {y}")
-        return cls(alpha=a, beta=b, n=len(a))
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "n", len(a))
 
     def alpha_part(self, i: int) -> int:
         """1-indexed, i in 1..n+1; i = n+1 reads as row n (boundary
@@ -126,12 +131,12 @@ class SkewShape:
 
 
 def make_skew(alpha: Sequence[int], beta: Sequence[int]) -> SkewShape:
-    """Validated skew shape from two weakly decreasing part lists."""
+    """Skew shape from two part lists that must also be weakly decreasing."""
     a, b = tuple(alpha), tuple(beta)
     for parts in (a, b):
         if any(x < y for x, y in zip(parts, parts[1:])):
             raise ShapeError(f"not weakly decreasing: {parts}")
-    return SkewShape.from_compositions(a, b)
+    return SkewShape(a, b)
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,8 @@ class IndexSelection:
     b_comp: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in (self.n, *self.a_set, *self.b_set)):
+            raise ShapeError(f"n, A and B must be ints: {self.n!r}, {self.a_set}, {self.b_set}")
         if self.n < 0:
             raise ShapeError(f"n must be nonnegative, got {self.n}")
         full = range(self.n + 1)
@@ -304,7 +311,7 @@ def _dominated_pairs(tuples: Iterable[tuple[int, ...]]) -> Iterator[SkewShape]:
     for beta in all_tuples:
         for alpha in all_tuples:
             if all(a <= b for a, b in zip(alpha, beta)):
-                yield SkewShape.from_compositions(alpha, beta)
+                yield SkewShape(alpha, beta)
 
 
 def skew_shapes(n: int, max_part: int) -> Iterator[SkewShape]:

@@ -42,7 +42,7 @@ from skewlgv.identity import (
     verify_sympoly_binomial,
 )
 from skewlgv.lattice import Node, build_L, build_R
-from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly, newton_residual
+from skewlgv.poly import Polynomial, e_poly, h_poly, newton_residual
 from skewlgv.shape import (
     IndexSelection,
     composition_shapes,
@@ -295,13 +295,13 @@ def test_criterion_1_worked_example_reproduction():
     h = build_h_matrix(shape, sel)
     e = build_e_matrix(shape, sel)
     expected_h = [
-        [h_poly(1, VarRange(2, 4)), h_poly(3, VarRange(2, 3)), h_poly(4, VarRange(2, 2))],
-        [ONE, h_poly(2, VarRange(2, 3)), h_poly(3, VarRange(2, 2))],
-        [ZERO, h_poly(1, VarRange(1, 3)), h_poly(2, VarRange(1, 2))],
+        [h_poly(1, 2, 4), h_poly(3, 2, 3), h_poly(4, 2, 2)],
+        [ONE, h_poly(2, 2, 3), h_poly(3, 2, 2)],
+        [ZERO, h_poly(1, 1, 3), h_poly(2, 1, 2)],
     ]
     expected_e = [
-        [e_poly(3, VarRange(1, 4)), e_poly(1, VarRange(1, 3))],
-        [e_poly(4, VarRange(1, 4)), e_poly(2, VarRange(1, 3))],
+        [e_poly(3, 1, 4), e_poly(1, 1, 3)],
+        [e_poly(4, 1, 4), e_poly(2, 1, 3)],
     ]
     entries_ok = all(
         h[r][c] == expected_h[r][c] for r in range(3) for c in range(3)

@@ -19,7 +19,7 @@ from skewlgv.connectors import (
 from skewlgv.detring import det
 from skewlgv.identity import build_h_matrix, verify_main
 from skewlgv.lattice import Node, build_L, build_R
-from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
+from skewlgv.poly import Polynomial, e_poly, h_poly
 from skewlgv.shape import (
     IndexSelection,
     composition_shapes,
@@ -60,7 +60,7 @@ def test_sink_above_source_unreachable():
 def test_weighted_count_is_h_entry():
     lat = build_L(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
     got = weighted_path_count(lat, Node(1, 1), Node(3, 3))
-    assert got == h_poly(2, VarRange(2, 3))
+    assert got == h_poly(2, 2, 3)
 
 
 def test_weighted_count_same_row_is_one():
@@ -71,7 +71,7 @@ def test_weighted_count_same_row_is_one():
 def test_red_count_is_e_entry():
     red = build_R(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
     got = weighted_path_count(red, Node(2, 3), Node(3, 0))
-    assert got == e_poly(1, VarRange(1, 3))
+    assert got == e_poly(1, 1, 3)
 
 
 def test_red_count_zero_when_degree_outruns_columns():
@@ -83,7 +83,7 @@ def test_red_count_zero_when_degree_outruns_columns():
     assert red.sinks == (Node(3, 0),)
     assert 3 > shape.beta_part(1) - shape.alpha_part(3)
     assert weighted_path_count(red, Node(0, 2), Node(3, 0)) == Polynomial.zero()
-    assert e_poly(3, VarRange(1, 2)) == Polynomial.zero()
+    assert e_poly(3, 1, 2) == Polynomial.zero()
 
 
 def test_paths_in_lex_order():
@@ -93,9 +93,7 @@ def test_paths_in_lex_order():
     paths = enumerate_paths(lat, Node(0, 0), Node(2, 2))
     seqs = [p.nodes for p in paths]
     assert seqs == sorted(seqs)
-    assert weighted_path_count(lat, Node(0, 0), Node(2, 2)) == h_poly(
-        2, VarRange(1, 2)
-    )
+    assert weighted_path_count(lat, Node(0, 0), Node(2, 2)) == h_poly(2, 1, 2)
 
 
 # --- connector enumeration ----------------------------------------------------
@@ -209,6 +207,22 @@ def test_path_counts_are_memoised_per_pair():
     assert lat.path_counts(*pairs[0]) is lat.path_counts(*pairs[0])
     connector_sum(lat)
     assert all(lat.path_counts(s, t) is c for (s, t), c in zip(pairs, first))
+
+
+def test_one_pair_walk_builds_no_node_set(monkeypatch):
+    # the first depth's prefix is empty, so its candidates need no node set
+    made = []
+
+    def recording(lat, src, snk):
+        paths = enumerate_paths(lat, src, snk)
+        made.extend(paths)
+        return paths
+
+    monkeypatch.setattr(connectors, "enumerate_paths", recording)
+    lat = build_L(make_skew([0], [3]), IndexSelection.make(1, [0], [1]))
+    assert connector_sum(lat) == h_poly(1, 1, 3)
+    assert len(made) == 3
+    assert all("node_set" not in p.__dict__ for p in made)
 
 
 def test_connector_sum_of_probe_shape_red_side():

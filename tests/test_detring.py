@@ -16,7 +16,7 @@ from skewlgv.detring import (
     matmul,
     minors,
 )
-from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly
+from skewlgv.poly import Polynomial, e_poly, h_poly
 from support import identity_matrix
 
 X1 = Polynomial.variable(1)
@@ -68,24 +68,22 @@ def test_det_inverse_pair_h_matrix():
     # 3x3 matrix whose rows hold shifted h's; its determinant collapses to
     # the top elementary polynomial, checked against the cofactor oracle
     m = [
-        [h_poly(1, VarRange(3, 3)), h_poly(2, VarRange(3, 3)), ZERO],
-        [ONE, h_poly(1, VarRange(1, 3)), h_poly(2, VarRange(1, 1))],
-        [ZERO, ONE, h_poly(1, VarRange(1, 1))],
+        [h_poly(1, 3, 3), h_poly(2, 3, 3), ZERO],
+        [ONE, h_poly(1, 1, 3), h_poly(2, 1, 1)],
+        [ZERO, ONE, h_poly(1, 1, 1)],
     ]
     expected = Polynomial.variable(1) * Polynomial.variable(2) * Polynomial.variable(3)
     assert det_naive(m) == expected
     assert det(m) == expected
-    assert det(m) == e_poly(3, VarRange(1, 3))
+    assert det(m) == e_poly(3, 1, 3)
 
 
 def test_det_naive_2x2_e_matrix():
     m = [
-        [e_poly(3, VarRange(1, 4)), e_poly(1, VarRange(1, 3))],
-        [e_poly(4, VarRange(1, 4)), e_poly(2, VarRange(1, 3))],
+        [e_poly(3, 1, 4), e_poly(1, 1, 3)],
+        [e_poly(4, 1, 4), e_poly(2, 1, 3)],
     ]
-    expected = e_poly(3, VarRange(1, 4)) * e_poly(2, VarRange(1, 3)) - e_poly(
-        1, VarRange(1, 3)
-    ) * e_poly(4, VarRange(1, 4))
+    expected = e_poly(3, 1, 4) * e_poly(2, 1, 3) - e_poly(1, 1, 3) * e_poly(4, 1, 4)
     assert det_naive(m) == expected
     assert det(m) == expected
 

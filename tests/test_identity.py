@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlgv import identity
@@ -21,9 +22,11 @@ from skewlgv.identity import (
     verify_sympoly_binomial,
 )
 from skewlgv.lattice import Node
-from skewlgv.poly import Polynomial, VarRange, e_poly, h_poly, qbinom
+from skewlgv.poly import Polynomial, e_poly, h_poly, qbinom
 from skewlgv.shape import (
     IndexSelection,
+    ShapeError,
+    SkewShape,
     make_skew,
     parallelogram_hypothesis,
     rectangle,
@@ -31,7 +34,7 @@ from skewlgv.shape import (
     skew_shapes,
     staircase,
 )
-from support import identity_matrix
+from support import identity_matrix, is_partition_pair
 
 ONE = Polynomial.one()
 ZERO = Polynomial.zero()
@@ -52,9 +55,9 @@ def test_h_matrix_of_worked_example():
         for c, b in enumerate((1, 3, 4)):
             assert m[r][c] == entry_h(FOUR_ROW_SHAPE, a, b)
     expected = [
-        [h_poly(1, VarRange(2, 4)), h_poly(3, VarRange(2, 3)), h_poly(4, VarRange(2, 2))],
-        [ONE, h_poly(2, VarRange(2, 3)), h_poly(3, VarRange(2, 2))],
-        [ZERO, h_poly(1, VarRange(1, 3)), h_poly(2, VarRange(1, 2))],
+        [h_poly(1, 2, 4), h_poly(3, 2, 3), h_poly(4, 2, 2)],
+        [ONE, h_poly(2, 2, 3), h_poly(3, 2, 2)],
+        [ZERO, h_poly(1, 1, 3), h_poly(2, 1, 2)],
     ]
     for r in range(3):
         for c in range(3):
@@ -69,8 +72,8 @@ def test_e_matrix_of_worked_example():
         for c, b_p in enumerate((0, 2)):
             assert m[r][c] == entry_e(FOUR_ROW_SHAPE, a_p, b_p)
     expected = [
-        [e_poly(3, VarRange(1, 4)), e_poly(1, VarRange(1, 3))],
-        [e_poly(4, VarRange(1, 4)), e_poly(2, VarRange(1, 3))],
+        [e_poly(3, 1, 4), e_poly(1, 1, 3)],
+        [e_poly(4, 1, 4), e_poly(2, 1, 3)],
     ]
     for r in range(2):
         for c in range(2):
@@ -80,15 +83,15 @@ def test_e_matrix_of_worked_example():
 def test_h_matrix_of_probe_shape():
     m = build_h_matrix(PROBE_SHAPE, PROBE_SEL)
     expected = [
-        [h_poly(1, VarRange(3, 3)), h_poly(2, VarRange(3, 3)), ZERO],
-        [ONE, h_poly(1, VarRange(1, 3)), h_poly(2, VarRange(1, 1))],
-        [ZERO, ONE, h_poly(1, VarRange(1, 1))],
+        [h_poly(1, 3, 3), h_poly(2, 3, 3), ZERO],
+        [ONE, h_poly(1, 1, 3), h_poly(2, 1, 1)],
+        [ZERO, ONE, h_poly(1, 1, 1)],
     ]
     for r in range(3):
         for c in range(3):
             assert m[r][c] == expected[r][c]
     e = build_e_matrix(PROBE_SHAPE, PROBE_SEL)
-    assert e == ((e_poly(3, VarRange(1, 3)),),)
+    assert e == ((e_poly(3, 1, 3),),)
 
 
 def test_full_selection_gives_unit_determinants():
@@ -356,6 +359,58 @@ def test_det_agrees_with_det_naive_on_random_shapes(problem):
         assert len(m) <= 6
         if sum(len(x.terms) for row in m for x in row) <= 120:
             assert det(m) == det_naive(m)
+
+
+@st.composite
+def part_lists(draw):
+    """Two lists of at most four small ints, often a skew pair and often
+    not: negative parts, unequal lengths, alpha > beta somewhere, and parts
+    that rise as well as fall."""
+    alpha = draw(st.lists(st.integers(-1, 4), max_size=4))
+    if draw(st.booleans()):
+        beta = [a + draw(st.integers(-1, 3)) for a in alpha]
+    else:
+        beta = draw(st.lists(st.integers(-1, 5), max_size=4))
+    return alpha, beta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(part_lists(), st.booleans(), st.data())
+def test_part_lists_give_a_shape_error_or_a_report(parts, with_brute, data):
+    # each constructor refuses with ShapeError or builds a shape, and any
+    # valid selection on a built shape verifies to a report, brute-force
+    # sums included; no other exception escapes
+    shapes = {}
+    for build in (SkewShape, make_skew):
+        try:
+            shape = shapes[build] = build(*parts)
+        except ShapeError:
+            continue
+        n = shape.n
+        k = data.draw(st.integers(0, n + 1))
+        rows = st.lists(st.integers(0, n), min_size=k, max_size=k, unique=True)
+        sel = IndexSelection.make(n, data.draw(rows), data.draw(rows))
+        report = verify_main(shape, sel, with_brute=with_brute)
+        assert isinstance(report, VerificationReport)
+        assert (report.alpha, report.beta) == (shape.alpha, shape.beta)
+    # make_skew adds only the partition check to the pair's own checks
+    if SkewShape in shapes:
+        pair = shapes[SkewShape]
+        assert shapes.get(make_skew, pair) == pair
+        assert (make_skew in shapes) == is_partition_pair(pair)
+    else:
+        assert make_skew not in shapes
+
+
+@pytest.mark.parametrize("with_brute", [False, True])
+@pytest.mark.parametrize("sel_n", [1, 3])
+def test_verify_main_refuses_a_selection_of_another_size(sel_n, with_brute):
+    # a shorter selection would verify another problem, a longer one read
+    # lines the shape does not have
+    shape = make_skew([1, 0], [2, 1])
+    sel = IndexSelection.make(sel_n, [0], [1])
+    with pytest.raises(ShapeError, match=f"selection on 0..{sel_n} for a shape of 2 rows"):
+        verify_main(shape, sel, with_brute=with_brute)
 
 
 # --- misc -----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from skewlgv.lattice import (
     STEPS,
     Lattice,
@@ -12,6 +14,7 @@ from skewlgv.lattice import (
 from skewlgv.poly import Polynomial
 from skewlgv.shape import (
     IndexSelection,
+    ShapeError,
     composition_shapes,
     is_row_connected,
     line_runs,
@@ -141,6 +144,19 @@ def test_with_selection_matches_direct_build():
             assert derived.sources == direct.sources
             assert derived.sinks == direct.sinks
             assert derived.nodes == direct.nodes
+
+
+def test_lattice_refuses_unequal_endpoint_counts():
+    # a connector pairs the i-th source with the i-th sink, so an unpaired
+    # source would otherwise drop out of every sum unseen
+    shape = make_skew([1, 1, 0, 0], [4, 3, 3, 2])
+    with pytest.raises(ShapeError, match="2 sources but 1 sinks"):
+        Lattice("L", shape, (Node(0, 1), Node(1, 1)), (Node(1, 4),))
+
+
+def test_lattice_refuses_an_unknown_flavor():
+    with pytest.raises(ShapeError, match="unknown lattice flavor 'blue'"):
+        Lattice("blue", rectangle(1, 1))
 
 
 def test_render_goldens():

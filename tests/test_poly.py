@@ -8,7 +8,6 @@ from skewlgv import poly
 from skewlgv.poly import (
     MissingVariableError,
     Polynomial,
-    VarRange,
     e_poly,
     h_poly,
     newton_residual,
@@ -189,26 +188,25 @@ def test_product_by_shared_one_is_the_other_operand(p):
 
 
 def test_h_poly_conventions():
-    empty = VarRange(1, 0)
-    assert h_poly(0, empty) == ONE
-    assert h_poly(3, empty) == ZERO
-    assert h_poly(-2, VarRange(1, 3)) == ZERO
-    assert h_poly(1, VarRange(2, 4)) == X2 + X3 + Polynomial.variable(4)
-    assert h_poly(2, VarRange(2, 2)) == X2**2
+    assert h_poly(0, 1, 0) == ONE
+    assert h_poly(3, 1, 0) == ZERO
+    assert h_poly(-2, 1, 3) == ZERO
+    assert h_poly(1, 2, 4) == X2 + X3 + Polynomial.variable(4)
+    assert h_poly(2, 2, 2) == X2**2
 
 
 def test_e_poly_conventions():
-    assert e_poly(0, VarRange(5, 2)) == ONE
-    assert e_poly(2, VarRange(1, 3)) == X1 * X2 + X1 * X3 + X2 * X3
-    assert e_poly(4, VarRange(1, 3)) == ZERO
-    assert e_poly(-1, VarRange(1, 3)) == ZERO
+    assert e_poly(0, 5, 2) == ONE
+    assert e_poly(2, 1, 3) == X1 * X2 + X1 * X3 + X2 * X3
+    assert e_poly(4, 1, 3) == ZERO
+    assert e_poly(-1, 1, 3) == ZERO
 
 
 @pytest.mark.parametrize("d", range(6))
 @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 3), (2, 5), (3, 7), (1, 5)])
 def test_h_term_count_at_ones(d, lo, hi):
     width = hi - lo + 1
-    p = h_poly(d, VarRange(lo, hi))
+    p = h_poly(d, lo, hi)
     ones = {v: 1 for v in p.variables()}
     assert p.evaluate(ones) == math.comb(width + d - 1, d)
 
@@ -217,7 +215,7 @@ def test_h_term_count_at_ones(d, lo, hi):
 @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 3), (2, 5), (3, 7), (1, 5)])
 def test_e_count_at_ones(d, lo, hi):
     width = hi - lo + 1
-    p = e_poly(d, VarRange(lo, hi))
+    p = e_poly(d, lo, hi)
     ones = {v: 1 for v in p.variables()}
     assert p.evaluate(ones) == math.comb(width, d)
 
@@ -234,7 +232,7 @@ def test_substitute_direct():
 def test_substitute_q_powers_gives_gaussian(n, k):
     # the specialisation x_i = q^(i-1) of h_k in n-k+1 variables enumerates
     # k-multisets by weight: an independent definition of [n, k]
-    p = h_poly(k, VarRange(1, n - k + 1))
+    p = h_poly(k, 1, n - k + 1)
     got = p.substitute({i: Q ** (i - 1) for i in range(1, n - k + 2)})
     assert got == qbinom(n, k)
     if (n, k) == (2, 1):
@@ -242,7 +240,7 @@ def test_substitute_q_powers_gives_gaussian(n, k):
 
 
 def test_substitute_all_ones_counts_terms():
-    p = e_poly(2, VarRange(1, 3))
+    p = e_poly(2, 1, 3)
     assert p.substitute({1: 1, 2: 1, 3: 1}) == Polynomial.integer(3)
 
 
@@ -393,9 +391,9 @@ def test_product_near_bound_checks_exact_exponents():
 
 
 def test_h_poly_exponent_bound():
-    assert h_poly(EXPONENT_BOUND, VarRange(2, 2)) == X2**EXPONENT_BOUND
+    assert h_poly(EXPONENT_BOUND, 2, 2) == X2**EXPONENT_BOUND
     with pytest.raises(OverflowError, match=rf"\b{EXPONENT_BOUND + 1}\b of x2\b"):
-        h_poly(EXPONENT_BOUND + 1, VarRange(2, 3))
+        h_poly(EXPONENT_BOUND + 1, 2, 3)
 
 
 def oracle_canonical(pairs) -> tuple:

@@ -61,11 +61,37 @@ def test_make_skew_accepts_empty_rows():
     assert s.box_count() == 0
 
 
-def test_from_compositions_allows_non_monotone():
-    s = SkewShape.from_compositions([0, 2], [1, 3])
+def test_skew_shape_allows_non_monotone():
+    s = SkewShape([0, 2], [1, 3])
     assert not is_partition_pair(s)
     with pytest.raises(ShapeError):
-        SkewShape.from_compositions([2, 0], [1, 3])
+        SkewShape([2, 0], [1, 3])
+
+
+def test_skew_shape_derives_n_from_its_parts():
+    s = SkewShape([0, 2], [1, 3])
+    assert (s.alpha, s.beta, s.n) == ((0, 2), (1, 3), 2)
+    assert repr(s) == "SkewShape(alpha=(0, 2), beta=(1, 3), n=2)"
+    # lists are stored as tuples, so the shape hashes
+    assert hash(s) == hash(SkewShape((0, 2), (1, 3)))
+    with pytest.raises(TypeError):
+        SkewShape(alpha=(0,), beta=(1,), n=3)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        ((3,), (1,), "containment violated at row 1: 3 > 1"),
+        ((0, 1), (1,), "length mismatch"),
+        ((), (), "at least one row"),
+        ((0, -1), (1, 0), "negative"),
+        ((0.5,), (1,), "parts must be ints"),
+        ((0,), ("1",), "parts must be ints"),
+    ],
+)
+def test_skew_shape_refuses_malformed_pairs(alpha, beta, message):
+    with pytest.raises(ShapeError, match=message):
+        SkewShape(alpha, beta)
 
 
 def test_boundary_part_interpretations():
@@ -185,6 +211,19 @@ def test_selection_validation():
         IndexSelection.make(2, [0], [0, 1])
     with pytest.raises(ShapeError):
         IndexSelection(2, (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "n, a_set, b_set, message",
+    [
+        (4, [0.5], [1], r"n, A and B must be ints: 4, \(0.5,\), \(1,\)"),
+        (4, [0], ["1"], "n, A and B must be ints"),
+        (2.0, [0], [1], "n, A and B must be ints: 2.0"),
+    ],
+)
+def test_selection_refuses_non_int_data(n, a_set, b_set, message):
+    with pytest.raises(ShapeError, match=message):
+        IndexSelection.make(n, a_set, b_set)
 
 
 # --- near-staircase shapes satisfy the hypothesis everywhere -----------------
