@@ -13,6 +13,14 @@ brute-force enumerator.
 `main` may be called many times in one process: it builds its parser on
 the first call and reuses it.  Every indented JSON output goes through one
 writer, `_json_text`.
+
+The lines of `sweep --jsonl` are those `json.dumps` writes for each case's
+report payload, built by `_SweepLines` from one line template per shape:
+the shape's own fields are encoded once per shape, and the fields that
+vary between its selections are filled in from memoised texts, one per
+distinct value.  The memos belong to one `cmd_sweep` call and are bounded:
+the texts of the selection sets are kept for one n, all others for one
+shape.  Nothing of this is built at import or before the sweep guard.
 """
 
 from __future__ import annotations
@@ -111,15 +119,90 @@ def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
 
 def _report_dict(report, kind: str | None = None) -> dict:
     """JSON payload of a report dataclass: the schema (and kind) head, then
-    its fields, polynomials as strings.  Tuples stay tuples; json writes
-    them as arrays."""
+    its fields, polynomials as strings, each distinct polynomial formatted
+    once.  Tuples stay tuples; json writes them as arrays."""
     payload: dict = {"schema": SCHEMA_VERSION}
     if kind is not None:
         payload["kind"] = kind
+    texts: dict[Polynomial, str] = {}
     for name, key in _json_fields(type(report)):
         v = getattr(report, name)
-        payload[key] = str(v) if isinstance(v, Polynomial) else v
+        if isinstance(v, Polynomial):
+            v = texts.get(v) or texts.setdefault(v, str(v))
+        payload[key] = v
     return payload
+
+
+# JSON keys of the report fields that vary between the selections of one
+# sweep shape; the other fields are fixed text of the shape's line template
+_SWEEP_SLOTS = ("A", "B", "hypothesis_ok", "violating_pairs", "det_h", "det_e", "equal")
+
+
+class _SweepLines:
+    """The sweep's JSONL lines: ``line(report)`` is exactly
+    ``json.dumps(_report_dict(report)) + "\\n"``.
+
+    ``_report_dict`` of a shape's first report gives the shape's line
+    template: the text of every field but the slots, ``_SWEEP_SLOTS``.  The
+    template stands while each of those fields of a report is the very
+    object it was built from.  A slot is filled with the text of its value,
+    memoised by identity; each memo holds its values alive, so that an id
+    is not reused.  Equal tuples need not print alike, since (1,) == (True,),
+    but equal polynomials do, so a polynomial's text is also memoised by
+    equality: ``det_e`` equal to ``det_h`` is formatted once.  The texts of
+    A and B are kept while n stays, since a sweep reuses one list of
+    selections per n; the others are dropped with each template.
+    """
+
+    def __init__(self):
+        self.fits = lambda report: False  # no template yet
+        self.n = None
+        self.sets: dict[int, tuple[object, str]] = {}
+        self.values: dict[int, tuple[object, str]] = {}
+        self.polys: dict[Polynomial, str] = {}
+
+    def _start_template(self, report) -> None:
+        from operator import attrgetter, is_  # not at import: see the module docstring
+
+        if report.n != self.n:
+            self.n = report.n
+            self.sets.clear()
+        self.values.clear()
+        self.polys.clear()
+        fields = _json_fields(type(report))
+        slots = [(name, key) for name, key in fields if key in _SWEEP_SLOTS]
+        fixed_of = attrgetter(*(name for name, key in fields if key not in _SWEEP_SLOTS))
+        fixed = fixed_of(report)
+        self.fits = lambda r: all(map(is_, fixed_of(r), fixed))
+        self.slots_of = attrgetter(*(name for name, _ in slots))
+        # A and B, the selection's own sets, keep their texts for one n
+        self.memos = [self.sets if key in ("A", "B") else self.values for _, key in slots]
+        payload = _report_dict(report)
+        mark = "\0"
+        for name, key in slots:
+            v = getattr(report, name)
+            if isinstance(v, Polynomial):
+                self.polys[v] = json.dumps(payload[key])
+            payload[key] = mark
+        # no fixed field holds a string, so the marks split at the slots only
+        pieces = json.dumps(payload).split(json.dumps(mark))
+        self.template = "%s".join(p.replace("%", "%%") for p in pieces) + "\n"
+
+    def _text(self, memo: dict, v) -> tuple[object, str]:
+        if isinstance(v, Polynomial):
+            text = self.polys.get(v) or self.polys.setdefault(v, json.dumps(str(v)))
+        else:
+            text = json.dumps(v)
+        memo[id(v)] = hit = (v, text)
+        return hit
+
+    def line(self, report) -> str:
+        if not self.fits(report):
+            self._start_template(report)
+        return self.template % tuple([
+            (memo.get(id(v)) or self._text(memo, v))[1]
+            for v, memo in zip(self.slots_of(report), self.memos)
+        ])
 
 
 def _json_text(value) -> str:
@@ -303,8 +386,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         return EXIT_GUARD
 
+    lines = _SweepLines()  # this call's memos
+
     def emit(report: identity.VerificationReport) -> None:
-        stream.write(json.dumps(_report_dict(report)) + "\n")
+        stream.write(lines.line(report))
 
     try:
         with open(args.jsonl, "w", encoding="utf-8") if args.jsonl else contextlib.nullcontext() as stream:

@@ -35,7 +35,6 @@ from .poly import LazyGrid, Polynomial, e_poly, h_poly, qbinom
 from .shape import (
     IndexSelection,
     Node,
-    ShapeError,
     SkewShape,
     parallelogram_hypothesis,
     rectangle,
@@ -151,8 +150,7 @@ def verify_main(
     connector sums.  Raises only on a selection of another size than the
     shape and on enumeration overflow, checked on both lattices, before
     any other work."""
-    if sel.n != shape.n:
-        raise ShapeError(f"selection on 0..{sel.n} for a shape of {shape.n} rows")
+    shape.check_selection(sel)
     if with_brute:
         l_lat, r_lat = build_L(shape, sel), build_R(shape, sel)
         conn.check_tuple_cap(l_lat, cap)

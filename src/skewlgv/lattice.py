@@ -51,8 +51,10 @@ def endpoints(
     L runs from the left points (a, alpha_{a+1}) of the lines a in A to the
     right points (b, beta_b) of the lines b in B; R runs from the right
     points of the lines outside B to the left points of the lines outside A
-    (see ``line_points``).
+    (see ``line_points``).  A selection on other lines than the shape's
+    raises ShapeError.
     """
+    shape.check_selection(sel)
     points = [line_points(shape, t) for t in range(shape.n + 1)]
     if flavor == "L":
         return tuple(points[a][0] for a in sel.a_set), tuple(points[b][1] for b in sel.b_set)

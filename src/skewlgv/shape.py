@@ -7,7 +7,9 @@ selections live on {0, ..., n} and always carry their complements.
 
 A ``SkewShape`` checks its part tuples, and an ``IndexSelection`` its
 sets, when built, raising ``ShapeError`` before any work; ``make_skew``
-adds the check that both part tuples are partitions.
+adds the check that both part tuples are partitions, and
+``SkewShape.check_selection`` the check that a selection is on the
+shape's lines.
 
 The shape owns the diagram's geometry: ``has_box`` is the one box rule,
 and the box corners, the isolated designated points, row-connectedness
@@ -128,6 +130,13 @@ class SkewShape:
 
     def box_count(self) -> int:
         return sum(b - a for a, b in zip(self.alpha, self.beta))
+
+    def check_selection(self, sel: "IndexSelection") -> None:
+        """Raise ShapeError unless sel selects among this shape's lines
+        0..n: a shorter selection would leave lines out, a longer one read
+        lines the shape does not have."""
+        if sel.n != self.n:
+            raise ShapeError(f"selection on 0..{sel.n} for a shape of {self.n} rows")
 
 
 def make_skew(alpha: Sequence[int], beta: Sequence[int]) -> SkewShape:

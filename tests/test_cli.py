@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewlgv import connectors, identity
-from skewlgv.cli import DIMENSION_LIMIT, _json_text, build_parser, main
+from skewlgv.cli import DIMENSION_LIMIT, _json_text, _report_dict, build_parser, main
 from skewlgv.poly import Polynomial
-from skewlgv.shape import Node
+from skewlgv.shape import IndexSelection, Node, SkewShape, selections
 
 DATA = Path(__file__).parent / "data"
 
@@ -320,7 +321,8 @@ SPECIAL_POLYNOMIALS = {"binomial": 0, "qbinomial": 2, "sympoly": 2, "aitken": 2}
 
 @pytest.mark.parametrize("kind", sorted(SPECIAL_CASES))
 def test_special_outputs_match_goldens(capsys, monkeypatch, kind):
-    # either output formats each polynomial it shows exactly once
+    # the text formats each polynomial it shows exactly once, the JSON each
+    # distinct one
     calls = []
     text = Polynomial.__str__
 
@@ -334,11 +336,12 @@ def test_special_outputs_match_goldens(capsys, monkeypatch, kind):
     assert code == 0
     assert out == (DATA / f"special_{kind}.txt").read_text()
     assert len(calls) == SPECIAL_POLYNOMIALS[kind]
+    distinct = set(calls)
     calls.clear()
     code, out, _ = run(capsys, [*argv, "--json"])
     assert code == 0
     assert out == (DATA / f"special_{kind}.json").read_text()
-    assert len(calls) == SPECIAL_POLYNOMIALS[kind]
+    assert len(calls) == len(distinct)
 
 
 DEEP_SELECTION = [
@@ -548,6 +551,104 @@ def test_sweep_counts_and_stream(capsys, tmp_path):
     assert target["hypothesis_ok"] is True
     assert target["equal"] is True
     assert target["det_h"] == "x1*x2*x3"
+
+
+# sha256 of the JSONL of sweep --max-n 3 --max-part 3, per mode
+SWEEP_3_3_JSONL = {
+    "all": "7f98b158146e6e2257cc9dcd3eefbf344e1411cfe96cec8c9b8b616696cd93a5",
+    "hypothesis-only": "8f36884b81e4ee09f031cc8eaea7cee02b7804908146903ef4ed77f44d7c967c",
+}
+SWEEP_MODES = {"all": [], "hypothesis-only": ["--hypothesis-only"]}
+
+
+def test_sweep_jsonl_golden_repeats_in_one_process(capsys, tmp_path):
+    # the modes alternate, so a text kept from one call under a reused
+    # object id would show in the next
+    stream = tmp_path / "cases.jsonl"
+    for mode in [*SWEEP_MODES, *SWEEP_MODES]:
+        argv = ["sweep", "--max-n", "3", "--max-part", "3", *SWEEP_MODES[mode], "--jsonl", str(stream)]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(stream.read_bytes()).hexdigest() == SWEEP_3_3_JSONL[mode]
+
+
+def _spy_reference_lines(monkeypatch) -> list[str]:
+    """Lines that run_sweep's per_case receives the reports of, each as
+    ``json.dumps(_report_dict(report))``."""
+    lines: list[str] = []
+    real = identity.run_sweep
+
+    def spy(*args, per_case=None, **kwargs):
+        def both(report):
+            lines.append(json.dumps(_report_dict(report)))
+            per_case(report)
+
+        return real(*args, per_case=None if per_case is None else both, **kwargs)
+
+    monkeypatch.setattr(identity, "run_sweep", spy)
+    return lines
+
+
+def _jsonl_lines(path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    return lines
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_sweep_jsonl_lines_are_stdlib_dumps_of_each_report(capsys, monkeypatch, tmp_path, mode):
+    want = _spy_reference_lines(monkeypatch)
+    stream = tmp_path / "cases.jsonl"
+    argv = ["sweep", "--max-n", "3", "--max-part", "3", *SWEEP_MODES[mode], "--jsonl", str(stream)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert len(want) == int(out.splitlines()[0].removeprefix("cases: "))
+    assert _jsonl_lines(stream) == want
+
+
+def test_sweep_jsonl_lines_follow_each_report(capsys, monkeypatch, tmp_path):
+    # two shapes that share one alpha tuple object, their cases interleaved;
+    # then sets that are equal but print apart, (1,) == (True,)
+    alpha = (1, 0)
+    shapes = [SkewShape(alpha, (2, 1)), SkewShape(alpha, (2, 2))]
+    assert shapes[0].alpha is shapes[1].alpha
+    want: list[str] = []
+
+    def fake_run_sweep(max_n, max_part, hypothesis_only=False, per_case=None):
+        checks = [identity.ShapeCheck(shape) for shape in shapes]
+        sels = [*selections(2), *(IndexSelection(2, tuple([x]), tuple([x])) for x in (1, True, 1))]
+        summary = identity.SweepSummary(max_n, max_part, hypothesis_only)
+        for sel in sels:
+            for check in checks:
+                report = check.report(sel)
+                summary.bucket(report)
+                want.append(json.dumps(_report_dict(report)))
+                per_case(report)
+        return summary
+
+    monkeypatch.setattr(identity, "run_sweep", fake_run_sweep)
+    stream = tmp_path / "cases.jsonl"
+    code, _, _ = run(capsys, ["sweep", "--max-n", "2", "--max-part", "2", "--jsonl", str(stream)])
+    assert code == 0
+    got = _jsonl_lines(stream)
+    assert got == want
+    assert [json.loads(line)["A"] for line in got[-6::2]] == [[1], [True], [1]]
+
+
+def test_report_payload_formats_each_distinct_polynomial_once(capsys, monkeypatch):
+    formatted = []
+    real = Polynomial.__str__
+
+    def counting(p):
+        formatted.append(p)
+        return real(p)
+
+    monkeypatch.setattr(Polynomial, "__str__", counting)
+    code, out, _ = run(capsys, ["verify", *FOUR_ROW, "--brute", "--json"])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["det_h"] == payload["det_e"] == payload["brute_blue"] == payload["brute_red"]
+    assert len(formatted) == 1
 
 
 def test_sweep_jsonl_open_failure_is_input_error(capsys, tmp_path):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from skewlgv.identity import verify_main
 from skewlgv.lattice import (
     STEPS,
     Lattice,
@@ -144,6 +145,26 @@ def test_with_selection_matches_direct_build():
             assert derived.sources == direct.sources
             assert derived.sinks == direct.sinks
             assert derived.nodes == direct.nodes
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, sel",
+    [
+        # a longer selection reads lines the shape does not have
+        ([0], [2], IndexSelection.make(3, [0, 1], [1, 2])),
+        # a shorter one would build a lattice on only some of the lines
+        ([1, 0, 0], [3, 2, 1], IndexSelection.make(1, [0], [1])),
+    ],
+)
+def test_selection_of_another_size_is_refused(alpha, beta, sel):
+    shape = make_skew(alpha, beta)
+    with pytest.raises(ShapeError) as refused:
+        verify_main(shape, sel)
+    for build in (build_L, build_R):
+        with pytest.raises(ShapeError) as exc:
+            build(shape, sel)
+        assert str(exc.value) == str(refused.value)
+        assert str(exc.value) == f"selection on 0..{sel.n} for a shape of {shape.n} rows"
 
 
 def test_lattice_refuses_unequal_endpoint_counts():
