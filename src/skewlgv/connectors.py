@@ -21,6 +21,14 @@ inverse is the same walk on L from the descents of a red connector, so
 the other color that it walks, and refuses a lattice of the connector's
 own color.  The step directions and the path counts belong to ``lattice``;
 this module only walks them.
+
+Many connectors of one lattice share a walk, so the walks are memoised on
+the target lattice and live as long as it does.  A walk from a source
+reads its diversion set only at the nodes it visits, all of them reachable
+from the source, so the memo key is the source, its sink, and the
+diversion nodes reachable from the source: equal keys give equal walks.
+Only walks that return are kept.  Equal walked paths are one ``Path``
+object, so their node sets, descents and text are built once.
 """
 
 from __future__ import annotations
@@ -52,6 +60,13 @@ class Path:
     @cached_property
     def node_set(self) -> frozenset[Node]:
         return frozenset(self.nodes)
+
+    @cached_property
+    def descents(self) -> frozenset[Node]:
+        """Nodes from which the path descends: straight down on L, down
+        and to the left on R."""
+        # each lattice has one descent, the only step that changes rows
+        return frozenset(u for u, v in self.steps() if v.i != u.i)
 
     def steps(self) -> Iterator[tuple[Node, Node]]:
         return zip(self.nodes, self.nodes[1:])
@@ -91,10 +106,8 @@ class Connector:
         return _disjoint(self.paths)
 
     def descent_nodes(self) -> frozenset[Node]:
-        """Nodes from which some path descends: straight down on L, down
-        and to the left on R."""
-        # each lattice has one descent, the only step that changes rows
-        return frozenset(u for p in self.paths for u, v in p.steps() if v.i != u.i)
+        """Nodes from which some path descends (see ``Path.descents``)."""
+        return frozenset().union(*(p.descents for p in self.paths))
 
 
 # the color of each lattice flavor's connectors
@@ -225,6 +238,14 @@ def connector_sum(lat: Lattice, cap: int | None = None) -> Polynomial:
 
 
 def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) -> Path:
+    key = (start, stop_at, divert_at & lat.reachable(start))
+    path = lat.walks.get(key)
+    if path is None:
+        path = lat.walks[key] = _walk_once(start, stop_at, divert_at, lat)
+    return path
+
+
+def _walk_once(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) -> Path:
     # the walk ends on reaching its matched sink; no descent can be forced
     # there because the box beneath a designated endpoint lies outside the
     # diagram.  For partitions the sink also ends its line, so stopping
@@ -248,7 +269,11 @@ def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) 
         weight = weight * w
         nodes.append(nxt)
         cur = nxt
-    return Path(tuple(nodes), weight)
+    nodes = tuple(nodes)
+    path = lat.walked_paths.get(nodes)
+    if path is None:
+        path = lat.walked_paths[nodes] = Path(nodes, weight)
+    return path
 
 
 def complementary(c: Connector, target: Lattice) -> Connector:

@@ -151,11 +151,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return minor(full, full)
 
 
-def int_cofactor_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Matrix of signed minors; equals the transpose of the adjugate."""
-    return _cofactors(*_square_minors(rows, 1, 0))
-
-
 def jacobi_check(
     m: Sequence[Sequence[int]],
     a_set: Sequence[int],

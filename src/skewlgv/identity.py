@@ -33,6 +33,7 @@ from .detring import Matrix, minors
 from .lattice import build_L, build_R
 from .poly import LazyGrid, Polynomial, e_poly, h_poly, qbinom
 from .shape import (
+    HypothesisCheck,
     IndexSelection,
     Node,
     SkewShape,
@@ -119,9 +120,14 @@ class ShapeCheck(MinorPair):
         super().__init__(partial(entry_h, shape), partial(entry_e, shape), shape.n, one, zero)
         self.shape = shape
 
-    def report(self, sel: IndexSelection) -> VerificationReport:
-        """Both determinants of one selection, without brute-force sums."""
-        hypothesis = parallelogram_hypothesis(self.shape, sel)
+    def report(
+        self, sel: IndexSelection, hypothesis: HypothesisCheck | None = None
+    ) -> VerificationReport:
+        """Both determinants of one selection, without brute-force sums;
+        hypothesis, when given, is the shape's ``parallelogram_hypothesis``
+        on sel."""
+        if hypothesis is None:
+            hypothesis = parallelogram_hypothesis(self.shape, sel)
         dh, de = self.dets(sel)
         shape = self.shape
         return VerificationReport(
@@ -322,9 +328,10 @@ def run_sweep(
         for shape in skew_shapes(n, max_part):
             check = ShapeCheck(shape)
             for sel in sels:
-                if hypothesis_only and not parallelogram_hypothesis(shape, sel).ok:
+                hypothesis = parallelogram_hypothesis(shape, sel)
+                if hypothesis_only and not hypothesis.ok:
                     continue
-                report = check.report(sel)
+                report = check.report(sel, hypothesis)
                 summary.bucket(report)
                 if per_case is not None:
                     per_case(report)

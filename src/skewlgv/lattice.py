@@ -21,7 +21,9 @@ and edge sets are derived views, built on first use.  ``endpoints`` is
 the one endpoint rule: L runs from (a, alpha_{a+1}) to (b, beta_b), R from
 (b', beta_{b'}) to (a', alpha_{a'+1}), at the shape's designated line
 points.  ``Lattice.path_counts`` gives the integer path counts that the
-brute-force enumerator caps and prunes with.
+brute-force enumerator caps and prunes with, and ``Lattice.reachable`` the
+nodes that a walk from a node can visit, on which ``connectors`` keys the
+walk memos that the lattice holds for it.
 """
 
 from __future__ import annotations
@@ -95,6 +97,22 @@ class Lattice:
         # the cap check and the enumerator count the same pairs
         return {}
 
+    @cached_property
+    def _reachable(self) -> dict[Node, frozenset[Node]]:
+        return {}
+
+    @cached_property
+    def walks(self) -> dict:
+        """Memo of the complementary walks on this lattice, kept for
+        ``connectors`` and dropped with the lattice."""
+        return {}
+
+    @cached_property
+    def walked_paths(self) -> dict:
+        """The walked paths on this lattice, one object per node tuple,
+        kept for ``connectors``."""
+        return {}
+
     def _read_steps(self, u: Node) -> tuple[tuple[Node, Polynomial], ...]:
         i, j = u
         shape = self.shape
@@ -126,6 +144,20 @@ class Lattice:
                     if u != snk:
                         counts[u] = sum(counts.get(v, 0) for v, _ in self.successors(u))
         return counts
+
+    def reachable(self, u: Node) -> frozenset[Node]:
+        """The nodes reachable from u, u included.  Memoised per node."""
+        reach = self._reachable.get(u)
+        if reach is None:
+            seen = {u}
+            todo = [u]
+            while todo:
+                for v, _ in self.successors(todo.pop()):
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            reach = self._reachable[u] = frozenset(seen)
+        return reach
 
     @cached_property
     def isolated_nodes(self) -> tuple[Node, ...]:

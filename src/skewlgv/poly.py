@@ -81,11 +81,16 @@ def _encode(m: Monomial) -> int:
     return sum(_power_key(v, e) for v, e in exps.items())
 
 
+@lru_cache(maxsize=None)
+def _guard_mask(fields: int) -> int:
+    """The guard bits of the lowest `fields` fields of a key."""
+    ones = ((1 << (fields * FIELD_BITS)) - 1) // _FIELD_MASK
+    return ones << (FIELD_BITS - 1)
+
+
 def _guard_bits(key: int) -> int:
     """The guard bits set in key, over as many fields as key spans."""
-    fields = -(-key.bit_length() // FIELD_BITS)
-    ones = ((1 << (fields * FIELD_BITS)) - 1) // _FIELD_MASK
-    return key & (ones << (FIELD_BITS - 1))
+    return key & _guard_mask(-(-key.bit_length() // FIELD_BITS))
 
 
 def _check_exponents(terms: dict[int, int]) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .poly import LazyGrid
 
@@ -314,18 +314,14 @@ def partitions_with(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     yield from itertools.combinations_with_replacement(range(max_part, -1, -1), n)
 
 
-def _dominated_pairs(tuples: Iterable[tuple[int, ...]]) -> Iterator[SkewShape]:
-    """Every pair alpha <= beta (pointwise) of the given tuples, beta-major."""
-    all_tuples = list(tuples)
-    for beta in all_tuples:
-        for alpha in all_tuples:
+def skew_shapes(n: int, max_part: int) -> Iterator[SkewShape]:
+    """All skew shapes with n rows and parts bounded by max_part: every
+    pair alpha <= beta (pointwise) of ``partitions_with``, beta-major."""
+    parts = list(partitions_with(n, max_part))
+    for beta in parts:
+        for alpha in parts:
             if all(a <= b for a, b in zip(alpha, beta)):
                 yield SkewShape(alpha, beta)
-
-
-def skew_shapes(n: int, max_part: int) -> Iterator[SkewShape]:
-    """All skew shapes with n rows and parts bounded by max_part."""
-    yield from _dominated_pairs(partitions_with(n, max_part))
 
 
 def selections(n: int) -> Iterator[IndexSelection]:
@@ -335,9 +331,3 @@ def selections(n: int) -> Iterator[IndexSelection]:
         for a in itertools.combinations(universe, k):
             for b in itertools.combinations(universe, k):
                 yield IndexSelection(n=n, a_set=a, b_set=b)
-
-
-def composition_shapes(n: int, max_part: int) -> Iterator[SkewShape]:
-    """All pointwise-dominated pairs of length-n tuples with entries in
-    0..max_part (order-free parts), partitions included."""
-    yield from _dominated_pairs(itertools.product(range(max_part, -1, -1), repeat=n))

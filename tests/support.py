@@ -9,9 +9,10 @@ designated points can sit strictly inside a line.
 import itertools
 
 from skewlgv.connectors import _disjoint, enumerate_paths
+from skewlgv.detring import _cofactors, _square_minors
 from skewlgv.lattice import Lattice
 from skewlgv.poly import Polynomial
-from skewlgv.shape import Node
+from skewlgv.shape import Node, SkewShape
 
 
 def line_extreme_endpoints(shape, sel, flavor):
@@ -34,6 +35,21 @@ def line_extreme_endpoints(shape, sel, flavor):
 
 def line_extreme_lattice(shape, sel, flavor):
     return Lattice(flavor, shape, *line_extreme_endpoints(shape, sel, flavor))
+
+
+def composition_shapes(n, max_part):
+    """All pointwise-dominated pairs of length-n tuples with entries in
+    0..max_part (order-free parts), partitions included, beta-major."""
+    tuples = list(itertools.product(range(max_part, -1, -1), repeat=n))
+    for beta in tuples:
+        for alpha in tuples:
+            if all(a <= b for a, b in zip(alpha, beta)):
+                yield SkewShape(alpha, beta)
+
+
+def int_cofactor_matrix(rows):
+    """Matrix of signed minors; equals the transpose of the adjugate."""
+    return _cofactors(*_square_minors(rows, 1, 0))
 
 
 def is_partition_pair(shape):

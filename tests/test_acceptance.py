@@ -45,7 +45,6 @@ from skewlgv.lattice import Node, build_L, build_R
 from skewlgv.poly import Polynomial, e_poly, h_poly, newton_residual
 from skewlgv.shape import (
     IndexSelection,
-    composition_shapes,
     is_row_connected,
     line_runs,
     make_skew,
@@ -53,7 +52,12 @@ from skewlgv.shape import (
     selections,
     skew_shapes,
 )
-from support import identity_matrix, is_partition_pair, line_extreme_lattice
+from support import (
+    composition_shapes,
+    identity_matrix,
+    is_partition_pair,
+    line_extreme_lattice,
+)
 
 MAX_N = 4
 MAX_PART = 4

@@ -176,6 +176,33 @@ def test_enumerate_complement_matches_golden(capsys):
     assert out == (DATA / "enumerate_complement.json").read_text()
 
 
+# the costliest enumerate --complement case of the brute benchmark: 595
+# connectors on the 5 x 5 square, printed with their complements
+SQUARE_COMPLEMENTS = [
+    "enumerate",
+    "--n", "5",
+    "--alpha", "0,0,0,0,0",
+    "--beta", "5,5,5,5,5",
+    "--A", "0,2",
+    "--B", "3,5",
+    "--flavor", "L",
+    "--disjoint",
+    "--complement",
+]
+SQUARE_COMPLEMENTS_SHA256 = {
+    "text": "2eb029d8baaf2489db793b5864a90253700a385912bae50c9f8d2aad5acbe2bd",
+    "json": "ca23b94da5ba7aa90be9b1c5b09b5bdc4ee765e29495bd52986bbcc5b5df4357",
+}
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_large_complement_output_is_pinned(capsys, mode):
+    argv = SQUARE_COMPLEMENTS + (["--json"] if mode == "json" else [])
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SQUARE_COMPLEMENTS_SHA256[mode]
+
+
 def test_enumerate_all_connectors_matches_golden(capsys):
     # without --disjoint each path object recurs in many connectors
     code, out, _ = run(capsys, ["enumerate", *FOUR_ROW, "--flavor", "R", "--json"])

@@ -22,14 +22,18 @@ from skewlgv.lattice import Node, build_L, build_R
 from skewlgv.poly import Polynomial, e_poly, h_poly
 from skewlgv.shape import (
     IndexSelection,
-    composition_shapes,
     is_row_connected,
     line_runs,
     make_skew,
     selections,
     skew_shapes,
 )
-from support import is_partition_pair, line_extreme_lattice, naive_connectors
+from support import (
+    composition_shapes,
+    is_partition_pair,
+    line_extreme_lattice,
+    naive_connectors,
+)
 
 FOUR_ROW_SHAPE = make_skew([1, 1, 0, 0], [4, 3, 3, 2])
 FOUR_ROW_SEL = IndexSelection.make(4, [0, 1, 2], [1, 3, 4])
@@ -417,3 +421,61 @@ def test_complement_contract_violation_on_degenerate_shape():
     assert len(blues) == 1
     with pytest.raises(ComplementError):
         complementary(blues[0], red_lat)
+
+
+# --- the walk memo of the target lattice ---------------------------------------
+
+
+def test_shared_walks_match_fresh_lattices():
+    # complements walked on one lattice, through its memo, against each
+    # walked on a lattice built for it alone, both ways round
+    cases = 0
+    for n in range(1, 4):
+        sels = list(selections(n))
+        for shape in skew_shapes(n, 3):
+            if not is_row_connected(shape):
+                continue
+            for sel in sels:
+                lat = build_L(shape, sel)
+                red_lat = build_R(shape, sel)
+                for blue in iter_connectors(lat, disjoint_only=True):
+                    red = complementary(blue, red_lat)
+                    assert red == complementary(blue, build_R(shape, sel))
+                    assert complementary(red, lat) == complementary(red, build_L(shape, sel))
+                    cases += 1
+    assert cases > 1000
+
+
+def test_equal_walked_paths_are_one_object():
+    red_lat = build_R(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
+    reds = [
+        complementary(blue, red_lat)
+        for blue in iter_connectors(build_L(FOUR_ROW_SHAPE, FOUR_ROW_SEL))
+    ]
+    paths = [p for red in reds for p in red.paths]
+    by_nodes = {}
+    for p in paths:
+        assert by_nodes.setdefault(p.nodes, p) is p
+    # several complements share a red path
+    assert len(by_nodes) < len(paths)
+
+
+def test_failed_walk_fails_alike_on_a_second_call():
+    # the gapped shape strands the walk; its result is memoised, and the
+    # contract check still refuses it on every call
+    shape = make_skew([3, 0], [4, 2])
+    sel = IndexSelection.make(2, [0], [0])
+    red_lat = build_R(shape, sel)
+    (blue,) = iter_connectors(build_L(shape, sel), disjoint_only=True)
+    text = "walk ended at Node(i=1, j=3), expected sink Node(i=1, j=0)"
+    for _ in range(2):
+        with pytest.raises(ComplementError) as exc:
+            complementary(blue, red_lat)
+        assert str(exc.value) == text
+    # a walk that raises is not memoised: it raises again
+    red_lat = build_R(FOUR_ROW_SHAPE, FOUR_ROW_SEL)
+    step = Path((Node(0, 1), Node(1, 1)), Polynomial.variable(1))
+    blue = Connector((step,), step.weight, "blue")
+    for _ in range(2):
+        with pytest.raises(ComplementError, match=r"R-descent from Node\(i=0, j=1\)"):
+            complementary(blue, red_lat)

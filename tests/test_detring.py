@@ -10,14 +10,13 @@ from skewlgv.detring import (
     SizeMismatchError,
     det,
     det_naive,
-    int_cofactor_matrix,
     int_det,
     jacobi_check,
     matmul,
     minors,
 )
 from skewlgv.poly import Polynomial, e_poly, h_poly
-from support import identity_matrix
+from support import identity_matrix, int_cofactor_matrix
 
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)

@@ -473,6 +473,23 @@ def test_run_sweep_matches_per_case_oracle():
     assert hyp_only == [rep for rep in reports if rep.hypothesis_ok]
 
 
+@pytest.mark.parametrize(
+    "hypothesis_only, buckets",
+    [(False, (13310, 10476, 2041, 793, 0)), (True, (10476, 10476, 0, 0, 0))],
+)
+def test_sweep_checks_the_hypothesis_once_per_case(monkeypatch, hypothesis_only, buckets):
+    calls = []
+
+    def counted(shape, sel):
+        calls.append(sel)
+        return parallelogram_hypothesis(shape, sel)
+
+    monkeypatch.setattr(identity, "parallelogram_hypothesis", counted)
+    s = run_sweep(3, 3, hypothesis_only=hypothesis_only)
+    assert len(calls) == 13310
+    assert (s.total, s.holds_equal, s.fails_equal, s.fails_unequal, s.holds_unequal) == buckets
+
+
 def test_hypothesis_only_sweep_reads_no_minor_of_a_failing_case(monkeypatch):
     reads = []
 

@@ -16,7 +16,6 @@ from skewlgv.poly import Polynomial
 from skewlgv.shape import (
     IndexSelection,
     ShapeError,
-    composition_shapes,
     is_row_connected,
     line_runs,
     make_skew,
@@ -24,7 +23,7 @@ from skewlgv.shape import (
     selections,
     skew_shapes,
 )
-from support import line_extreme_endpoints, line_extreme_lattice
+from support import composition_shapes, line_extreme_endpoints, line_extreme_lattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -216,6 +215,18 @@ def test_successors_and_edge_weight_agree_with_edges():
                         v = Node(u.i + di, u.j + dj)
                         if (u, v) not in listed:
                             assert v not in out
+
+
+def test_reachable_nodes_are_those_with_a_path():
+    # the walk memo's key rests on this set: a node is reachable from u
+    # exactly when some path runs from u to it
+    for n in range(1, 4):
+        for shape in skew_shapes(n, 3):
+            for lat in (build_L(shape, None), build_R(shape, None)):
+                for u in lat.nodes:
+                    paths_to = {v for v in lat.nodes if lat.path_counts(u, v).get(u)}
+                    assert lat.reachable(u) == paths_to
+                    assert lat.reachable(u) is lat.reachable(u)
 
 
 def test_isolated_points_are_distinct_sorted_and_off_the_boxes():

@@ -509,6 +509,29 @@ def test_monomial_product_at_and_past_bound():
     assert str(exc.value) == f"exponent {2**15} of x2000 exceeds the bound {EXPONENT_BOUND}"
 
 
+def test_guard_bits_over_many_fields_near_the_bound():
+    # the guard mask is kept per field count; each count finds the guard
+    # bits of every one of its fields and no others
+    for fields in range(1, 301):
+        full = (1 << (fields * poly.FIELD_BITS)) - 1
+        assert poly._guard_bits(full) == sum(1 << (16 * v + 15) for v in range(fields))
+    # a monomial of 200 fields, each at the bound: one more power of any
+    # variable names that variable, through both products
+    fields = 200
+    below = Polynomial({tuple((v, EXPONENT_BOUND - 1) for v in range(fields)): 1})
+    ones = Polynomial({tuple((v, 1) for v in range(fields)): 1})
+    at_bound = below * ones
+    assert at_bound == Polynomial({tuple((v, EXPONENT_BOUND) for v in range(fields)): 1})
+    assert (below + 1) * ones == at_bound + ones
+    for v in (0, 1, 100, fields - 1):
+        name = "q" if v == 0 else f"x{v}"
+        text = f"exponent {EXPONENT_BOUND + 1} of {name} exceeds the bound {EXPONENT_BOUND}"
+        for left in (at_bound, at_bound + 1):
+            with pytest.raises(OverflowError) as exc:
+                left * Polynomial.variable(v)
+            assert str(exc.value) == text
+
+
 # --- text and display order against a tuple oracle ----------------------------
 
 

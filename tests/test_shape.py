@@ -7,7 +7,6 @@ from skewlgv.shape import (
     IndexSelection,
     ShapeError,
     SkewShape,
-    composition_shapes,
     is_row_connected,
     line_runs,
     make_skew,
@@ -19,7 +18,7 @@ from skewlgv.shape import (
     skew_shapes,
     staircase,
 )
-from support import is_partition_pair
+from support import composition_shapes, is_partition_pair
 
 
 def near_staircase_check(parts: tuple[int, ...]) -> bool:
