@@ -488,6 +488,45 @@ def test_json_text_matches_stdlib_indented_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 
 
+def test_json_text_writes_ints_as_the_stdlib_does():
+    # ints skip the stdlib encoder; bools, None and floats beside them,
+    # and keys that read like them, must not
+    value = {
+        "ints": [0, 1, -1, 2**63, -(2**63) - 1, 10**40, -(10**40)],
+        "mixed": (3, True, 3.0, None, False, -7, 0, -0.0, 1e300, 2**70),
+        "1": {"true": 1, "null": None, "0": 0.0},
+        "nested": [(1, (True, 1)), [[-5], ()]],
+    }
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+# sha256 of the stdout of three corollaries whose determinants are deep:
+# an upper-Hessenberg h-grid, the flagged sympoly grids, and dense q-grids
+COROLLARY_SHA256 = {
+    "aitken": (
+        ["--m", "1", "--n", "16", "--A", ",".join(map(str, range(16))),
+         "--B", ",".join(map(str, range(1, 17)))],
+        "559d95306798c0866ab951362a45156208c66a37fc9b7c59c1c211d4c21e9b35",
+    ),
+    "sympoly": (
+        ["--n", "10", "--A", "0,1,2,3,4", "--B", "6,7,8,9,10"],
+        "5024b7d0fe3c2cb0e75bc5491ebcdb144ec21905ca6037feec5e305fe97186c7",
+    ),
+    "qbinomial": (
+        ["--n", "14", "--A", "0,1,2,3,4,5,6", "--B", "8,9,10,11,12,13,14"],
+        "99f70f8e46dea6da9815b2271ab302bc64e6d000d0df4e131767479981880c8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", COROLLARY_SHA256)
+def test_deep_corollary_outputs_are_pinned(capsys, kind):
+    args, digest = COROLLARY_SHA256[kind]
+    code, out, _ = run(capsys, ["special", kind, *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     build_parser.cache_clear()
     golden = ["verify", "--n", "2", "--alpha", "2,0", "--beta", "2,2", "--A", "0", "--B", "1",

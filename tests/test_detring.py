@@ -148,18 +148,18 @@ small_polys = st.dictionaries(
 @st.composite
 def square_grids(draw):
     """A row-major n x n grid, n <= 5, of small integers or polynomials,
-    with the matching ring's one and zero."""
+    with the matching ring's one."""
     n = draw(st.integers(0, 5))
     if draw(st.booleans()):
-        return n, draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)), 1, 0
-    return n, draw(st.lists(small_polys, min_size=n * n, max_size=n * n)), ONE, ZERO
+        return n, draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)), 1
+    return n, draw(st.lists(small_polys, min_size=n * n, max_size=n * n)), ONE
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(square_grids())
 def test_minors_match_det_naive_of_every_submatrix(grid):
-    n, entries, one, zero = grid
-    minor = minors(entries, n, one, zero)
+    n, entries, one = grid
+    minor = minors(entries, n, one)
     assert minor(0, 0) == one
     full = [
         [Polynomial.integer(x) if isinstance(x, int) else x for x in entries[r * n : (r + 1) * n]]
@@ -171,6 +171,95 @@ def test_minors_match_det_naive_of_every_submatrix(grid):
                 sub = [[full[r][c] for c in cols] for r in rows]
                 value = minor(sum(1 << r for r in rows), sum(1 << c for c in cols))
                 assert value == det_naive(sub), (rows, cols)
+
+
+# entries in q, x1 and x2 with signed coefficients, the shared zero and one
+# among them
+kernel_entries = st.one_of(
+    st.sampled_from([ZERO, ONE]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)).map(
+            lambda e: ((0, e[2]), (1, e[0]), (2, e[1]))
+        ),
+        st.integers(-3, 3),
+        max_size=3,
+    ).map(Polynomial),
+)
+
+
+@st.composite
+def cancelling_grids(draw):
+    """A row-major n x n polynomial grid, n <= 5; some rows repeat or
+    negate an earlier row, so that many of its minors cancel to zero."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(kernel_entries, min_size=n, max_size=n)) for _ in range(n)]
+    for r in range(1, n):
+        copy = draw(st.sampled_from([None, 1, -1]))
+        if copy is not None:
+            src = rows[draw(st.integers(0, r - 1))]
+            rows[r] = [x if copy > 0 else -x for x in src]
+    return n, [x for row in rows for x in row]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cancelling_grids(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_minors_of_polynomial_grids_match_det_naive(grid, point):
+    """Every minor equals the Leibniz sum and, at an integer point, the
+    integer determinant of the evaluated submatrix; a nonzero 1 x 1 minor
+    is its entry object and a zero minor is the shared zero."""
+    n, entries = grid
+    minor = minors(entries, n, ONE)
+    at = dict(enumerate(point))
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                sub = [[entries[r * n + c] for c in cols] for r in rows]
+                value = minor(sum(1 << r for r in rows), sum(1 << c for c in cols))
+                assert value == det_naive(sub), (rows, cols)
+                assert value.evaluate(at) == int_det([[x.evaluate(at) for x in row] for row in sub])
+                if not value:
+                    assert value is ZERO
+                elif k == 1:
+                    assert value is sub[0][0]
+
+
+def test_cancelling_minor_is_the_shared_zero():
+    assert det([[X1, X2], [X1, X2]]) is ZERO
+    assert det([[X1 + X2, ONE], [X1 * X1 + X1 * X2, X1]]) is ZERO
+
+
+X3 = Polynomial.variable(3)
+BIG = X1**20000
+PAST_BOUND = "exponent {} of {} exceeds the bound 32767"
+
+# Each grid's determinant has a product past the exponent bound; the error
+# names the first such product in expansion order.  In "first of two" a
+# later sub-minor passes the bound on its own (its text would name 34000)
+# and is never reached.
+OVERFLOW_GRIDS = {
+    "monomials": ([[BIG, ZERO], [ZERO, BIG]], PAST_BOUND.format(40000, "x1")),
+    "sums": ([[BIG + X2, X3], [X2, BIG + X3]], PAST_BOUND.format(40000, "x1")),
+    "three rows": (
+        [[X1**11000 + X2, X3, ONE], [X2, X1**11000 + X3, X2], [X3, ONE, X1**11000 + ONE]],
+        PAST_BOUND.format(33000, "x1"),
+    ),
+    "q": (
+        [[Polynomial.q() ** 20000 + X1, ONE], [X2, Polynomial.q() ** 20000 - X1]],
+        PAST_BOUND.format(40000, "q"),
+    ),
+    "first of two": (
+        [[BIG + X2, ONE, ZERO], [X1**17000, X1**13000, ZERO], [ZERO, ZERO, X1**17000]],
+        PAST_BOUND.format(50000, "x1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_GRIDS)
+def test_det_past_exponent_bound_names_the_first_product(name):
+    grid, text = OVERFLOW_GRIDS[name]
+    with pytest.raises(OverflowError) as exc:
+        det(grid)
+    assert str(exc.value) == text
 
 
 def test_matmul_identity():
@@ -211,10 +300,11 @@ def leibniz_int_det(rows):
 
 def test_int_det_against_leibniz():
     rng = random.Random(3)
-    for n in range(5):
-        for _ in range(10):
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            assert int_det(rows) == leibniz_int_det(rows)
+    for n in range(6):
+        for bound in (4, 2**80):
+            for _ in range(10):
+                rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                assert int_det(rows) == leibniz_int_det(rows)
 
 
 def test_jacobi_identity_matrix():

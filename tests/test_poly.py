@@ -80,6 +80,13 @@ def test_add_identity_and_cancellation():
     assert not (X1 - X1)
 
 
+def test_cancelling_results_are_the_shared_zero():
+    assert X1 - X1 is ZERO
+    assert (X1 + 2 * X2) + (-2 * X2 - X1) is ZERO
+    assert -ZERO is ZERO
+    assert -(X1 - X1) is ZERO
+
+
 def test_add_merges_coefficients():
     assert (X1 + X2) + X2 == X1 + 2 * X2
 
@@ -623,3 +630,47 @@ def test_wide_sparse_polynomials_against_tuple_oracle(terms):
         {oracle_canonical((WIDE - v, e) for v, e in m): c for m, c in terms.items()}
     )
 
+
+
+# --- the multiply-accumulate kernel -----------------------------------------
+
+
+def test_sum_products_shares_zero_and_lone_pass_through_operands():
+    p = X1 + 2 * X2 * Q
+    assert Polynomial.sum_products([]) is ZERO
+    assert Polynomial.sum_products([(1, p, ONE)]) is p
+    assert Polynomial.sum_products([(1, ONE, p)]) is p
+    assert Polynomial.sum_products([(1, ZERO, X1), (1, ONE, p), (-1, X1, ZERO)]) is p
+    assert Polynomial.sum_products([(-1, p, ONE)]) == -p
+    assert Polynomial.sum_products([(1, p, ONE), (-1, ONE, p)]) is ZERO
+    assert Polynomial.sum_products([(1, p, p), (-1, p, p)]) is ZERO
+    assert Polynomial.sum_products([(1, p, ONE), (1, X1, X2)]) == p + X1 * X2
+
+
+# an operand: oracle terms, or None for the shared one
+kernel_operands = st.one_of(oracle_terms, st.none())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), kernel_operands, kernel_operands), max_size=4))
+def test_sum_products_against_tuple_oracle(triples):
+    """The kernel's sum, or OverflowError exactly when some pair's own
+    product passes the bound, even where the sum would cancel it."""
+    expected: dict = {}
+    overflow = False
+    for sign, a, b in triples:
+        product = oracle_mul({(): 1} if a is None else a, {(): 1} if b is None else b)
+        overflow |= any(e > EXPONENT_BOUND for m in product for _, e in m)
+        expected = oracle_add(expected, product, sign)
+    products = [
+        (sign, ONE if a is None else Polynomial(a), ONE if b is None else Polynomial(b))
+        for sign, a, b in triples
+    ]
+    if overflow:
+        with pytest.raises(OverflowError):
+            Polynomial.sum_products(products)
+        return
+    got = Polynomial.sum_products(iter(products))
+    assert dict(got.terms) == expected
+    if not expected:
+        assert got is ZERO
