@@ -14,9 +14,13 @@ brute-force enumerator.
 the first call and reuses it.  Every indented JSON output goes through one
 writer, `_json_text`.
 
-The lines of `sweep --jsonl` come from `_SweepLines`, one line template
-per shape, whose bounded memos belong to one `cmd_sweep` call.  Nothing
-of this is built at import or before the sweep guard.
+The lines of `sweep --jsonl` are those `json.dumps` writes for each case's
+report payload, built by `_SweepLines` from one line template per shape:
+the shape's own fields are encoded once per shape, and the fields that
+vary between its selections are filled in from memoised texts, one per
+distinct value.  The memos belong to one `cmd_sweep` call and are bounded:
+the texts of the selection sets are kept for one n, all others for one
+shape.  Nothing of this is built at import or before the sweep guard.
 """
 
 from __future__ import annotations
@@ -138,15 +142,16 @@ class _SweepLines:
     """The sweep's JSONL lines: ``line(report)`` is exactly
     ``json.dumps(_report_dict(report)) + "\\n"``.
 
-    ``_report_dict`` of a shape's first report gives its line template: the
-    text of every field but the slots, ``_SWEEP_SLOTS``, standing while each
-    of those fields of a report is the very object it was built from.  A
-    slot is filled with the text of its value, memoised by identity; each
-    memo holds its values alive, so an id is not reused.  Equal tuples need
-    not print alike, since (1,) == (True,), but equal polynomials do, so a
-    polynomial's text is also memoised by equality.  The texts of A and B
-    are kept while n stays, since a sweep reuses one list of selections per
-    n; the others go with each template.
+    ``_report_dict`` of a shape's first report gives the shape's line
+    template: the text of every field but the slots, ``_SWEEP_SLOTS``.  The
+    template stands while each of those fields of a report is the very
+    object it was built from.  A slot is filled with the text of its value,
+    memoised by identity; each memo holds its values alive, so that an id
+    is not reused.  Equal tuples need not print alike, since (1,) == (True,),
+    but equal polynomials do, so a polynomial's text is also memoised by
+    equality: ``det_e`` equal to ``det_h`` is formatted once.  The texts of
+    A and B are kept while n stays, since a sweep reuses one list of
+    selections per n; the others are dropped with each template.
     """
 
     def __init__(self):

@@ -188,9 +188,14 @@ def iter_connectors(
 ) -> Iterator[Connector]:
     """lat's source-to-sink path tuples, only the vertex-disjoint ones unless
     disjoint_only is false, in the order of the Cartesian product of the
-    per-pair path lists (the last pair's path varies fastest), walked and
-    capped as the module docstring says.  A weight is folded from one in
-    pair order, so a connector costs one product."""
+    per-pair path lists (the last pair's path varies fastest).
+
+    The walk is depth first over the pairs.  Under disjoint_only a candidate
+    path that meets a node of the prefix chosen so far is skipped with
+    every tuple that extends it.  Each depth carries its prefix's weight,
+    folded from one in pair order, so a connector costs one product.  The
+    cap bounds the full product, not the tuples the walk visits, and is
+    checked before any path is built."""
     check_tuple_cap(lat, cap)
     color = _COLORS[lat.flavor]
     lists = pair_path_lists(lat)

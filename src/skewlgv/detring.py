@@ -4,14 +4,11 @@ integer-matrix utilities (determinant, adjugate, complementary-minor check).
 A matrix is the sequence of its rows, with no row or column labels.
 One row expansion, ``minors``, computes every minor of an entry grid: it
 is memoised on the pair of row and column bitmasks, so all the minors of
-one grid share their sub-minors.  Over the polynomials each minor is one
-term map: the signed products of its row go to `Polynomial.sum_products`
-as their sub-minors are known, which checks each pair near the exponent
-bound on its own, so the first product past the bound raises.  A minor
-that cancels is the shared zero, and a 1 x 1 minor is its entry.  The
-polynomial and the integer determinant are its full minor, which costs
-O(2^n * n) ring multiplications -- far below the n! of the Leibniz sum
-kept here as an independent oracle.
+one grid share their sub-minors.  A polynomial minor is one term map that
+`Polynomial.fold_product` fills as its sub-minors come; a 1 x 1 minor is
+its entry.  The polynomial and the integer determinant are its full
+minor, which costs O(2^n * n) ring multiplications -- far below the n! of
+the Leibniz sum kept here as an independent oracle.
 """
 
 from __future__ import annotations
@@ -40,29 +37,19 @@ class SizeMismatchError(ValueError):
 Matrix = Sequence[Sequence]
 
 
-def minors(entries: Sequence, n: int, one) -> Callable[[int, int], object]:
-    """Minor function of the row-major n x n entry list over the ring of
-    ``one``, polynomials or ints: ``minor(rows, cols)`` is the determinant
-    of the submatrix on the row and column bitmasks, which must hold
-    equally many bits; the empty minor is one.
+def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]:
+    """Minor function of the row-major n x n entry list: ``minor(rows,
+    cols)`` is the determinant of the submatrix on the row and column
+    bitmasks, which must hold equally many bits; the empty minor is one.
 
-    Each minor is expanded along the lowest row of its row mask, skipping
-    zero entries, and memoised on the (row mask, column mask) pair.
-    Entries are read by index, only where the expansion reaches them."""
+    Each minor is expanded along the lowest row of its row mask and
+    memoised on the (row mask, column mask) pair, so minors requested
+    through one function share their sub-minors.  Entries are read by
+    index, only where the expansion reaches them.  Works over the ints
+    and the polynomials; zero entries are skipped."""
     memo: dict = {}
-    fold = Polynomial.sum_products if isinstance(one, Polynomial) else _int_sum
-
-    def products(base: int, rows: int, cols: int):
-        # the signed products of row base // n on the columns cols
-        sign = 1
-        rest = cols
-        while rest:
-            low = rest & -rest
-            e = entries[base + low.bit_length() - 1]
-            if e:
-                yield sign, e, minor(rows, cols ^ low)
-            sign = -sign
-            rest ^= low
+    fold = None if isinstance(one, int) else Polynomial.fold_product
+    folded = Polynomial.folded
 
     def minor(rows: int, cols: int):
         if not rows:
@@ -72,14 +59,25 @@ def minors(entries: Sequence, n: int, one) -> Callable[[int, int], object]:
         if cached is not None:
             return cached
         low_row = rows & -rows
-        value = memo[key] = fold(products((low_row.bit_length() - 1) * n, rows ^ low_row, cols))
-        return value
+        base = (low_row.bit_length() - 1) * n
+        rows ^= low_row
+        acc = zero
+        sign = 1
+        rest = cols
+        while rest:
+            low = rest & -rest
+            e = entries[base + low.bit_length() - 1]
+            if e:
+                if fold:
+                    acc = fold(acc, sign, e, minor(rows, cols ^ low))
+                else:
+                    acc += sign * e * minor(rows, cols ^ low)
+            sign = -sign
+            rest ^= low
+        memo[key] = acc = folded(acc)
+        return acc
 
     return minor
-
-
-def _int_sum(products) -> int:
-    return sum(s * p * q for s, p, q in products)
 
 
 def _side(rows: Matrix) -> int:
@@ -90,16 +88,18 @@ def _side(rows: Matrix) -> int:
     return n
 
 
-def _square_minors(rows: Matrix, one) -> tuple[Callable[[int, int], object], int]:
-    """The minor function of a square matrix over the ring of ``one``, and
-    its full mask."""
+def _square_minors(rows: Matrix, one, zero) -> tuple[Callable[[int, int], object], int]:
+    """The minor function of a square matrix over the ring of ``one`` and
+    ``zero``, and its full mask."""
     n = _side(rows)
-    return minors([x for r in rows for x in r], n, one), (1 << n) - 1
+    return minors([x for r in rows for x in r], n, one, zero), (1 << n) - 1
 
 
 def det(rows: Matrix) -> Polynomial:
-    """Exact determinant; the empty 0x0 matrix has determinant 1."""
-    minor, full = _square_minors(rows, Polynomial.one())
+    """Exact determinant; the empty 0x0 matrix has determinant 1.  Int
+    entries are constants."""
+    rows = [[Polynomial.integer(x) if isinstance(x, int) else x for x in r] for r in rows]
+    minor, full = _square_minors(rows, Polynomial.one(), Polynomial.zero())
     return minor(full, full)
 
 
@@ -112,10 +112,17 @@ def det_naive(rows: Matrix) -> Polynomial:
         )
     acc = Polynomial.zero()
     for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1
+            for a in range(n)
+            for b in range(a + 1, n)
+            if perm[a] > perm[b]
+        )
         term = Polynomial.one()
         for r in range(n):
             term = term * rows[r][perm[r]]
-        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            if not term:
+                break
         acc = acc + (-term if inversions % 2 else term)
     return acc
 
@@ -128,7 +135,10 @@ def matmul(a: Matrix, b: Matrix) -> tuple[tuple[Polynomial, ...], ...]:
             f"rows of lengths {[len(r) for r in a]} times rows of lengths {[len(r) for r in b]}"
         )
     return tuple(
-        tuple(Polynomial.sum_products((1, x, y) for x, y in zip(row, col)) for col in zip(*b))
+        tuple(
+            sum((x * y for x, y in zip(row, col)), Polynomial.zero())
+            for col in zip(*b)
+        )
         for row in a
     )
 
@@ -144,7 +154,7 @@ def _cofactors(minor: Callable[[int, int], int], full: int) -> list[list[int]]:
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by memoised row expansion; det([]) = 1."""
-    minor, full = _square_minors(rows, 1)
+    minor, full = _square_minors(rows, 1, 0)
     return minor(full, full)
 
 
@@ -163,7 +173,7 @@ def jacobi_check(
     singular matrices.  With empty complements both minors coincide with
     det(M) and the identity is trivially true.
     """
-    minor, full = _square_minors(m, 1)
+    minor, full = _square_minors(m, 1, 0)
     d1 = len(m)
     a = sorted(a_set)
     b = sorted(b_set)
@@ -171,9 +181,10 @@ def jacobi_check(
         raise SizeMismatchError("index sets must not repeat elements")
     if len(a) != len(b):
         raise SizeMismatchError(f"|A| = {len(a)} but |B| = {len(b)}")
-    for name, s in (("A", a), ("B", b)):
-        if s and (s[0] < 0 or s[-1] >= d1):
-            raise SizeMismatchError(f"{name} outside matrix index range")
+    if a and (a[0] < 0 or a[-1] >= d1):
+        raise SizeMismatchError("A outside matrix index range")
+    if b and (b[0] < 0 or b[-1] >= d1):
+        raise SizeMismatchError("B outside matrix index range")
 
     r = d1 - len(a)
     if r == 0:
@@ -182,7 +193,7 @@ def jacobi_check(
     mask_a = sum(1 << i for i in a)
     mask_b = sum(1 << i for i in b)
     lhs = minor(mask_a, mask_b) * minor(full, full) ** (r - 1)
-    cof_minor, _ = _square_minors(_cofactors(minor, full), 1)
+    cof_minor, _ = _square_minors(_cofactors(minor, full), 1, 0)
     sign = -1 if (sum(a) + sum(b)) % 2 else 1
     rhs = sign * cof_minor(full ^ mask_a, full ^ mask_b)
     return lhs == rhs

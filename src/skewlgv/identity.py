@@ -96,13 +96,13 @@ class MinorPair:
     and columns B^c of the grid of ``e_entry``.  Each side keeps one minor
     function over its grid, so a minor is computed at most once however
     many selections read it, and a grid entry only when an expansion first
-    reads it.  ``one`` is that of the entries' ring.
+    reads it.  ``one`` and ``zero`` are those of the entries' ring.
     """
 
-    def __init__(self, h_entry: Callable, e_entry: Callable, n: int, one):
+    def __init__(self, h_entry: Callable, e_entry: Callable, n: int, one, zero):
         width = n + 1
-        self.minor_h = minors(LazyGrid(h_entry, width), width, one)
-        self.minor_e = minors(LazyGrid(e_entry, width), width, one)
+        self.minor_h = minors(LazyGrid(h_entry, width), width, one, zero)
+        self.minor_e = minors(LazyGrid(e_entry, width), width, one, zero)
 
     def dets(self, sel: IndexSelection) -> tuple:
         """(det_h, det_e) of one selection."""
@@ -116,7 +116,8 @@ class ShapeCheck(MinorPair):
     shape's ``parallelogram_hypothesis``."""
 
     def __init__(self, shape: SkewShape):
-        super().__init__(partial(entry_h, shape), partial(entry_e, shape), shape.n, Polynomial.one())
+        one, zero = Polynomial.one(), Polynomial.zero()
+        super().__init__(partial(entry_h, shape), partial(entry_e, shape), shape.n, one, zero)
         self.shape = shape
 
     def report(
@@ -167,6 +168,7 @@ def verify_main(
     return report
 
 
+# ---------------------------------------------------------------------------
 # specialisations
 
 
@@ -191,7 +193,8 @@ def _qbinom_rhs_entry(a_p: int, b_p: int) -> Polynomial:
 def verify_qbinomial(n: int, sel: IndexSelection) -> QBinomialReport:
     """q-binomial duality: det [b, a]_q on A x B against the complement
     determinant of q^C(a'-b',2) [a', b']_q on A^c x B^c."""
-    lhs, rhs = MinorPair(lambda a, b: qbinom(b, a), _qbinom_rhs_entry, n, Polynomial.one()).dets(sel)
+    one, zero = Polynomial.one(), Polynomial.zero()
+    lhs, rhs = MinorPair(lambda a, b: qbinom(b, a), _qbinom_rhs_entry, n, one, zero).dets(sel)
     return QBinomialReport(n, sel.a_set, sel.b_set, lhs, rhs, lhs == rhs)
 
 
@@ -208,7 +211,7 @@ class BinomialReport:
 def verify_binomial(n: int, sel: IndexSelection) -> BinomialReport:
     """Integer binomial determinant duality of Gessel and Viennot: det C(b, a)
     on A x B against det C(a', b') on A^c x B^c, over the integers."""
-    lhs, rhs = MinorPair(lambda a, b: math.comb(b, a), math.comb, n, 1).dets(sel)
+    lhs, rhs = MinorPair(lambda a, b: math.comb(b, a), math.comb, n, 1, 0).dets(sel)
     return BinomialReport(n, sel.a_set, sel.b_set, lhs, rhs, lhs == rhs)
 
 
@@ -231,7 +234,7 @@ def verify_sympoly_binomial(n: int, sel: IndexSelection) -> SympolyReport:
     dh, de = MinorPair(
         lambda a, b: h_poly(b - a, 1, a + 1),
         lambda a_p, b_p: e_poly(a_p - b_p, 1, a_p),
-        n, Polynomial.one(),
+        n, Polynomial.one(), Polynomial.zero(),
     ).dets(sel)
     relabel = {i: Polynomial.variable(n + 1 - i) for i in range(1, n + 1)}
     dh_st, de_st = (d.substitute(relabel) for d in ShapeCheck(staircase(n)).dets(sel))
@@ -258,6 +261,7 @@ def verify_aitken(m: int, n: int, sel: IndexSelection) -> AitkenReport:
     return AitkenReport(m, n, sel.a_set, sel.b_set, dh, de, dh == de)
 
 
+# ---------------------------------------------------------------------------
 # full (n+1) x (n+1) matrices of the inverse-pair probe
 
 
@@ -279,6 +283,7 @@ def build_full_E(shape: SkewShape) -> Matrix:
     return tuple(tuple(signed(i, j) for j in full) for i in full)
 
 
+# ---------------------------------------------------------------------------
 # sweep driver
 
 

@@ -16,16 +16,14 @@ the exponent and the bound, instead of wrapping.
 
 A polynomial maps keys to nonzero integer coefficients, so two polynomials
 are equal exactly when their term maps are equal.  All values are
-immutable.  Zero is one object, `Polynomial.zero()`: every arithmetic
-result without terms is it.  A product by the shared one is the other
-factor.
+immutable.  Zero is one object: a sum, negation or product without terms
+is `Polynomial.zero()`.
 
-One kernel, `Polynomial.sum_products`, multiplies.  It folds every term
-pair of a sum of signed products into one term map, so a determinant's
-row expansion builds one map per minor; a product is its one-pair case.
-The OR of a map's keys bounds each of its exponents, so only a pair whose
-two ORs' sum sets a guard bit is multiplied on its own and checked key by
-key, raising the error that product names.
+`Polynomial.fold_product`, the one product loop, adds sign * p * q into a
+term map: one map per determinant minor.  Only a pair whose key ORs' sum
+sets a guard bit is multiplied apart and checked key by key.  Cancelled
+keys leave the map after each pair, so the first key past the bound is
+the one a sum of single products names.
 
 Outside this module a monomial is a tuple of (variable index, exponent)
 pairs, sorted by variable index, with every exponent positive.  The
@@ -36,10 +34,11 @@ Terms display, in text and in `sorted_terms`, in one order: higher total
 degree first, and within one degree the exponent vectors (e_q, e_1, e_2,
 ...) in descending lexicographic order, so a higher power of q, then of
 x1, then of x2, and so on, comes first: ``x1^2 + x1*x2 + x2^2 + x1 + 1``.
-The order keeps text output stable for golden tests.  One walk over each
-key's nonzero fields, `_display_rows`, the only reader of keys, builds
-both, and the tuple form that `variables`, `total_degree`, `evaluate` and
-`substitute` read.
+The order keeps text output stable for golden tests.  One walk, the only
+reader of keys, builds both: one pass per key over its nonzero fields
+reads its degree, its place in the order and each of its variable powers
+together.  The tuple form, and with it `variables`, `total_degree`,
+`evaluate` and `substitute`, is read from the same walk.
 
 `h_poly(d, lo, hi)` and `e_poly(d, lo, hi)` take the variable range x_lo,
 ..., x_hi as two ints and are the one home of the degree conventions that
@@ -49,7 +48,7 @@ every h/e entry relies on.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -67,7 +66,9 @@ class MissingVariableError(ValueError):
 
 
 def _overflow(v: int, e: int) -> OverflowError:
-    return OverflowError(f"exponent {e} of {_var_text(v)} exceeds the bound {MAX_EXPONENT}")
+    return OverflowError(
+        f"exponent {e} of {_var_text(v)} exceeds the bound {MAX_EXPONENT}"
+    )
 
 
 def _power_key(v: int, e: int) -> int:
@@ -138,13 +139,16 @@ _POWER_TEXTS = LazyGrid(_power_text, 1 << FIELD_BITS)
 
 
 def _display_rows(terms: dict[int, int], pieces: Mapping[int, object]) -> list:
-    """(rank, coefficient, pieces) of every term, in the display order.
+    """(rank, coefficient, pieces) of every term, in the display order; the
+    only reader of packed keys.
 
     One pass per key over its nonzero fields, lowest first, reads its total
     degree, its fields in reverse order (q's on top) and, for each power
-    x_v^e, pieces[v << FIELD_BITS | e]; a run of empty fields is skipped in
-    one shift.  The rank, the degree above the reversed fields padded to
-    the polynomial's span, is unique and descends in the display order."""
+    x_v^e in it, pieces[v << FIELD_BITS | e]; a run of empty fields is
+    skipped in one shift, found from the key's lowest set bit.  The rank is
+    the degree above the reversed fields, padded to the polynomial's span,
+    so descending ranks are the display order, and no two terms share a
+    rank."""
     shift = -(-max(terms, default=0).bit_length() // FIELD_BITS) * FIELD_BITS
     w, mask, step = FIELD_BITS, _FIELD_MASK, 1 << FIELD_BITS
     rows = []
@@ -286,31 +290,36 @@ class Polynomial:
         return Polynomial._raw({m: -c for m, c in t.items()}) if t else _ZERO
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        return self + -other if isinstance(other, (int, Polynomial)) else NotImplemented
+        if isinstance(other, int):
+            other = Polynomial.integer(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: int) -> "Polynomial":
-        return -self + other
+        return Polynomial.integer(other) + (-self)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        # products by the shared one are common (free lattice steps) and
-        # cost nothing
+        # products by the shared one are common (free lattice steps, the
+        # last row of a determinant expansion) and cost nothing
         if other is _ONE:
             return self
         if isinstance(other, int):
+            if other == 0 or not self._terms:
+                return _ZERO
             if other == 1:
                 return self
-            t = self._terms
-            return Polynomial._raw({m: c * other for m, c in t.items()}) if other and t else _ZERO
+            return Polynomial._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self is _ONE:
             return other
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self._terms or not other._terms:
             return _ZERO
+        a, b = self._terms, other._terms
         if len(a) == 1 == len(b):
             # monomial times monomial, most products of path weights: one
-            # key addition, checked like a pair of sum_products
+            # key addition, checked like the general product below
             ((m1, c1),) = a.items()
             ((m2, c2),) = b.items()
             m = m1 + m2
@@ -318,60 +327,62 @@ class Polynomial:
             if _guard_bits(m):
                 _check_exponents(out)
             return Polynomial._raw(out)
-        return Polynomial.sum_products(((1, self, other),))
-
-    @staticmethod
-    def sum_products(products: Iterable[tuple]) -> "Polynomial":
-        """The sum of sign * p * q over the (sign, p, q) triples, each
-        folded in as it is read; see the module docstring.  A lone pair
-        with a factor one gives the other factor, negated if sign is -1."""
-        out: dict[int, int] = {}
-        get = out.get
-        pairs = 0
-        lone = None  # a pair with the factor one, folded last
-        for sign, p, q in products:
-            a, b = p._terms, q._terms
-            if not a or not b:
-                continue
-            pairs += 1
-            if lone is None and (p is _ONE or q is _ONE):
-                lone = sign, q if p is _ONE else p
-                continue
-            if len(a) < len(b):
-                a, b = b, a
-            near_bound = _guard_bits(reduce(or_, a) + reduce(or_, b))
-            acc = {} if near_bound else out
-            put = acc.get
-            for m2, c2 in b.items():
-                c2 *= sign
-                for m1, c1 in a.items():
-                    m = m1 + m2
-                    acc[m] = put(m, 0) + c1 * c2
-            if near_bound:
-                _check_exponents({m: c for m, c in acc.items() if c})
-                for m, c in acc.items():
-                    out[m] = get(m, 0) + c
-        if lone:
-            sign, p = lone
-            if pairs == 1:
-                return p if sign > 0 else -p
-            for m, c in p._terms.items():
-                out[m] = get(m, 0) + sign * c
-        out = out and {m: c for m, c in out.items() if c}
-        return Polynomial._raw(out) if out else _ZERO
+        return Polynomial.folded(Polynomial.fold_product(_ZERO, 1, self, other))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def fold_product(acc, sign: int, p: "Polynomial", q: "Polynomial"):
+        """acc + sign * p * q, sign 1 or -1; acc is a Polynomial or a term
+        map returned here, which is updated in place.  Into the shared
+        zero, a product by one with sign 1 is the other factor."""
+        a, b = p._terms, q._terms
+        if not a or not b:
+            return acc
+        if type(acc) is not dict:
+            if acc is _ZERO and sign > 0:
+                if p is _ONE:
+                    return q
+                if q is _ONE:
+                    return p
+            acc = dict(acc._terms)
+        if len(a) < len(b):
+            a, b = b, a
+        near_bound = _guard_bits(reduce(or_, a) + reduce(or_, b))
+        out = {} if near_bound else acc
+        get = out.get
+        for m2, c2 in b.items():
+            c2 *= sign
+            for m1, c1 in a.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        if near_bound:
+            out = {m: c for m, c in out.items() if c}
+            _check_exponents(out)
+            return Polynomial.fold_product(acc, 1, Polynomial._raw(out), _ONE)
+        if 0 in acc.values():
+            for m in [m for m, c in acc.items() if not c]:
+                del acc[m]
+        return acc
+
+    @staticmethod
+    def folded(acc) -> "Polynomial":
+        """`fold_product`'s sum as a Polynomial."""
+        if type(acc) is dict:
+            return Polynomial._raw(acc) if acc else _ZERO
+        return acc
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative powers are not defined in this ring")
         result = _ONE
         base = self
-        while exponent:
-            if exponent & 1:
+        e = exponent
+        while e:
+            if e & 1:
                 result = result * base
-            exponent >>= 1
-            if exponent:
+            e >>= 1
+            if e:
                 base = base * base
         return result
 
@@ -392,26 +403,38 @@ class Polynomial:
             term = c
             for v, e in m:
                 if v not in values:
-                    raise MissingVariableError(f"no value assigned to {_var_text(v)}")
+                    raise MissingVariableError(
+                        f"no value assigned to {_var_text(v)}"
+                    )
                 term *= values[v] ** e
             total += term
         return total
 
-    def substitute(self, assignment: Mapping[int, "Polynomial | int"]) -> "Polynomial":
-        """Replace every variable by the assigned polynomial or int, exactly.
+    def substitute(
+        self, assignment: Mapping[int, "Polynomial | int"]
+    ) -> "Polynomial":
+        """Replace every variable by the assigned polynomial, exactly.
 
         Raises MissingVariableError if some occurring variable has no image.
         """
-        powers: dict = {}
+        images: dict[int, Polynomial] = {}
+        for v, val in assignment.items():
+            images[v] = Polynomial.integer(val) if isinstance(val, int) else val
+        power_cache: dict[tuple[int, int], Polynomial] = {}
         acc = _ZERO
         for m, c in self.sorted_terms():
             term = Polynomial.integer(c)
             for v, e in m:
-                if v not in assignment:
-                    raise MissingVariableError(f"no substitution given for {_var_text(v)}")
-                if (v, e) not in powers:
-                    powers[v, e] = assignment[v] ** e
-                term = term * powers[v, e]
+                if v not in images:
+                    raise MissingVariableError(
+                        f"no substitution given for {_var_text(v)}"
+                    )
+                key = (v, e)
+                p = power_cache.get(key)
+                if p is None:
+                    p = images[v] ** e
+                    power_cache[key] = p
+                term = term * p
             acc = acc + term
         return acc
 
@@ -547,6 +570,8 @@ def newton_residual(d: int, nvars: int) -> Polynomial:
     """
     if d <= 0:
         raise ValueError("newton_residual requires d > 0")
-    return Polynomial.sum_products(
-        ((-1) ** i, e_poly(i, 1, nvars), h_poly(d - i, 1, nvars)) for i in range(d + 1)
-    )
+    acc = _ZERO
+    for i in range(d + 1):
+        term = e_poly(i, 1, nvars) * h_poly(d - i, 1, nvars)
+        acc = acc + (-term if i % 2 else term)
+    return acc

@@ -49,7 +49,7 @@ def composition_shapes(n, max_part):
 
 def int_cofactor_matrix(rows):
     """Matrix of signed minors; equals the transpose of the adjugate."""
-    return _cofactors(*_square_minors(rows, 1))
+    return _cofactors(*_square_minors(rows, 1, 0))
 
 
 def is_partition_pair(shape):

@@ -409,6 +409,21 @@ def test_dimension_guard_admits_its_limit(capsys):
     assert f"dimension {DIMENSION_LIMIT + 1} " in err
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("binomial", "det(C(b,a)) = 1, complement det = 1\n"),
+        ("qbinomial", "lhs = 1\nrhs = 1\n"),
+    ],
+)
+def test_dimension_limit_expands_in_one_frame_per_row(capsys, kind, text):
+    # empty selections: the complement grid has DIMENSION_LIMIT rows and is
+    # triangular, so its expansion is one chain of minors that deep
+    argv = ["special", kind, "--n", str(DIMENSION_LIMIT - 1), "--A", "", "--B", ""]
+    code, out, _ = run(capsys, argv)
+    assert (code, out) == (0, text + "equal: yes\n")
+
+
 def test_deep_binomial_is_integer_work(capsys):
     # |A| = n/2: a dense 12 x 12 minor on each side, taken over the integers
     argv = ["special", "binomial", "--n", "24"]

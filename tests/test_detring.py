@@ -148,18 +148,18 @@ small_polys = st.dictionaries(
 @st.composite
 def square_grids(draw):
     """A row-major n x n grid, n <= 5, of small integers or polynomials,
-    with the matching ring's one."""
+    with the matching ring's one and zero."""
     n = draw(st.integers(0, 5))
     if draw(st.booleans()):
-        return n, draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)), 1
-    return n, draw(st.lists(small_polys, min_size=n * n, max_size=n * n)), ONE
+        return n, draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)), 1, 0
+    return n, draw(st.lists(small_polys, min_size=n * n, max_size=n * n)), ONE, ZERO
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(square_grids())
 def test_minors_match_det_naive_of_every_submatrix(grid):
-    n, entries, one = grid
-    minor = minors(entries, n, one)
+    n, entries, one, zero = grid
+    minor = minors(entries, n, one, zero)
     assert minor(0, 0) == one
     full = [
         [Polynomial.integer(x) if isinstance(x, int) else x for x in entries[r * n : (r + 1) * n]]
@@ -208,7 +208,7 @@ def test_minors_of_polynomial_grids_match_det_naive(grid, point):
     integer determinant of the evaluated submatrix; a nonzero 1 x 1 minor
     is its entry object and a zero minor is the shared zero."""
     n, entries = grid
-    minor = minors(entries, n, ONE)
+    minor = minors(entries, n, ONE, ZERO)
     at = dict(enumerate(point))
     for k in range(1, n + 1):
         for rows in itertools.combinations(range(n), k):
@@ -251,6 +251,22 @@ OVERFLOW_GRIDS = {
         [[BIG + X2, ONE, ZERO], [X1**17000, X1**13000, ZERO], [ZERO, ZERO, X1**17000]],
         PAST_BOUND.format(50000, "x1"),
     ),
+    # the sub-minor's first product is by one, its second is not
+    "product by one first": (
+        [[X1**32700 * X2**32700, ZERO, ZERO], [ZERO, ONE, X2**100], [ZERO, X3, X1**100]],
+        PAST_BOUND.format(32800, "x1"),
+    ),
+    # in the 3 x 3 sub-minor x1^800 comes, cancels and comes back, after
+    # x1^900
+    "cancelled and back": (
+        [
+            [X1**32000, ZERO, ZERO, ZERO],
+            [ZERO, X1**800 + X1**900, X1**800 - X2, X1**800 + X3],
+            [ZERO, ONE, ONE, ZERO],
+            [ZERO, ZERO, ONE, ONE],
+        ],
+        PAST_BOUND.format(32900, "x1"),
+    ),
 }
 
 
@@ -260,6 +276,20 @@ def test_det_past_exponent_bound_names_the_first_product(name):
     with pytest.raises(OverflowError) as exc:
         det(grid)
     assert str(exc.value) == text
+
+
+def test_det_and_matmul_read_int_entries_as_constants():
+    grid = [[2, X1, 0], [X1, 1, X2], [-3, X2 * X1, 1]]
+    assert det(grid) == det_naive(grid)
+    assert det([[5]]) == Polynomial.integer(5)
+    assert det([[0]]) is ZERO
+    other = [[1, X2, 0], [X1, 0, 2], [0, -1, X2]]
+    product = matmul(grid, other)
+    assert product == tuple(
+        tuple(sum((grid[i][k] * other[k][j] for k in range(3)), ZERO) for j in range(3))
+        for i in range(3)
+    )
+    assert det(product) == det_naive(grid) * det_naive(other)
 
 
 def test_matmul_identity():

@@ -635,16 +635,41 @@ def test_wide_sparse_polynomials_against_tuple_oracle(terms):
 # --- the multiply-accumulate kernel -----------------------------------------
 
 
-def test_sum_products_shares_zero_and_lone_pass_through_operands():
+def sum_products(triples):
+    """The sum of sign * p * q over the triples, folded one at a time."""
+    acc = ZERO
+    for sign, p, q in triples:
+        acc = Polynomial.fold_product(acc, sign, p, q)
+    return Polynomial.folded(acc)
+
+
+def test_fold_product_shares_zero_and_passes_a_first_product_by_one_through():
     p = X1 + 2 * X2 * Q
-    assert Polynomial.sum_products([]) is ZERO
-    assert Polynomial.sum_products([(1, p, ONE)]) is p
-    assert Polynomial.sum_products([(1, ONE, p)]) is p
-    assert Polynomial.sum_products([(1, ZERO, X1), (1, ONE, p), (-1, X1, ZERO)]) is p
-    assert Polynomial.sum_products([(-1, p, ONE)]) == -p
-    assert Polynomial.sum_products([(1, p, ONE), (-1, ONE, p)]) is ZERO
-    assert Polynomial.sum_products([(1, p, p), (-1, p, p)]) is ZERO
-    assert Polynomial.sum_products([(1, p, ONE), (1, X1, X2)]) == p + X1 * X2
+    assert sum_products([]) is ZERO
+    assert sum_products([(1, p, ONE)]) is p
+    assert sum_products([(1, ONE, p)]) is p
+    assert sum_products([(1, ZERO, X1), (1, ONE, p), (-1, X1, ZERO)]) is p
+    assert sum_products([(-1, p, ONE)]) == -p
+    assert sum_products([(1, p, ONE), (-1, ONE, p)]) is ZERO
+    assert sum_products([(1, p, p), (-1, p, p)]) is ZERO
+    assert sum_products([(1, p, ONE), (1, X1, X2)]) == p + X1 * X2
+    # a folded term map is updated in place, a polynomial never
+    acc = Polynomial.fold_product(ZERO, 1, p, ONE)
+    acc = Polynomial.fold_product(acc, 1, X1, X2)
+    assert acc is Polynomial.fold_product(acc, -1, p, Q)
+    assert p == X1 + 2 * X2 * Q
+
+
+def test_fold_product_keeps_the_key_order_of_a_sum_of_products():
+    # the first key past the bound in a later product is the one that a
+    # sum of the products, taken one by one, holds first: a key cancelled
+    # by one product and brought back by a later one goes last
+    k, a = X1**800, X1**900
+    minor = sum_products([(1, k + a, ONE), (-1, k - X2, ONE), (1, k + X3, ONE)])
+    with pytest.raises(OverflowError, match="exponent 32900 of x1"):
+        X1**32000 * minor
+    with pytest.raises(OverflowError, match="exponent 32900 of x1"):
+        X1**32000 * ((k + a) - (k - X2) + (k + X3))
 
 
 # an operand: oracle terms, or None for the shared one
@@ -653,7 +678,7 @@ kernel_operands = st.one_of(oracle_terms, st.none())
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from([1, -1]), kernel_operands, kernel_operands), max_size=4))
-def test_sum_products_against_tuple_oracle(triples):
+def test_fold_product_against_tuple_oracle(triples):
     """The kernel's sum, or OverflowError exactly when some pair's own
     product passes the bound, even where the sum would cancel it."""
     expected: dict = {}
@@ -668,9 +693,9 @@ def test_sum_products_against_tuple_oracle(triples):
     ]
     if overflow:
         with pytest.raises(OverflowError):
-            Polynomial.sum_products(products)
+            sum_products(products)
         return
-    got = Polynomial.sum_products(iter(products))
+    got = sum_products(products)
     assert dict(got.terms) == expected
     if not expected:
         assert got is ZERO
