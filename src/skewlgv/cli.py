@@ -19,8 +19,9 @@ report payload, built by `_SweepLines` from one line template per shape:
 the shape's own fields are encoded once per shape, and the fields that
 vary between its selections are filled in from memoised texts, one per
 distinct value.  The memos belong to one `cmd_sweep` call and are bounded:
-the texts of the selection sets are kept for one n, all others for one
-shape.  Nothing of this is built at import or before the sweep guard.
+the texts of the violating pairs are kept for one shape, all others for
+one n and at most _SWEEP_TEXTS of them.  Nothing of this is built at
+import or before the sweep guard.
 """
 
 from __future__ import annotations
@@ -134,8 +135,12 @@ def _report_dict(report, kind: str | None = None) -> dict:
 
 
 # JSON keys of the report fields that vary between the selections of one
-# sweep shape; the other fields are fixed text of the shape's line template
+# sweep shape, in field order; the other fields are fixed text of the
+# shape's line template
 _SWEEP_SLOTS = ("A", "B", "hypothesis_ok", "violating_pairs", "det_h", "det_e", "equal")
+# the sweep's minors of one n are one object only between two clears of its
+# memos, so the JSONL writer also drops its texts past this many
+_SWEEP_TEXTS = 1 << 12
 
 
 class _SweepLines:
@@ -145,44 +150,40 @@ class _SweepLines:
     ``_report_dict`` of a shape's first report gives the shape's line
     template: the text of every field but the slots, ``_SWEEP_SLOTS``.  The
     template stands while each of those fields of a report is the very
-    object it was built from.  A slot is filled with the text of its value,
-    memoised by identity; each memo holds its values alive, so that an id
-    is not reused.  Equal tuples need not print alike, since (1,) == (True,),
-    but equal polynomials do, so a polynomial's text is also memoised by
-    equality: ``det_e`` equal to ``det_h`` is formatted once.  The texts of
-    A and B are kept while n stays, since a sweep reuses one list of
-    selections per n; the others are dropped with each template.
+    object it was built from.  ``line`` fills the two bool slots itself
+    and each other slot with the text of its value, memoised by identity;
+    each memo holds its values alive, so that an id is not reused.  Equal
+    tuples need not print alike, since (1,) == (True,), but equal
+    polynomials do, so a polynomial's text is also memoised by equality.
+    The texts of the violating pairs, one object per shape and set of
+    pairs, are dropped with each template; the others, of the selections
+    and minors that a sweep shares across the shapes of one n, with n or
+    once they pass _SWEEP_TEXTS.
     """
 
     def __init__(self):
         self.fits = lambda report: False  # no template yet
         self.n = None
-        self.sets: dict[int, tuple[object, str]] = {}
-        self.values: dict[int, tuple[object, str]] = {}
+        self.texts: dict[int, tuple[object, str]] = {}
+        self.pairs: dict[int, tuple[object, str]] = {}
         self.polys: dict[Polynomial, str] = {}
 
     def _start_template(self, report) -> None:
         from operator import attrgetter, is_  # not at import: see the module docstring
 
-        if report.n != self.n:
+        if report.n != self.n or len(self.texts) > _SWEEP_TEXTS:
             self.n = report.n
-            self.sets.clear()
-        self.values.clear()
-        self.polys.clear()
+            self.texts.clear()
+            self.polys.clear()
+        self.pairs.clear()
         fields = _json_fields(type(report))
-        slots = [(name, key) for name, key in fields if key in _SWEEP_SLOTS]
+        assert tuple(key for _, key in fields if key in _SWEEP_SLOTS) == _SWEEP_SLOTS
         fixed_of = attrgetter(*(name for name, key in fields if key not in _SWEEP_SLOTS))
         fixed = fixed_of(report)
         self.fits = lambda r: all(map(is_, fixed_of(r), fixed))
-        self.slots_of = attrgetter(*(name for name, _ in slots))
-        # A and B, the selection's own sets, keep their texts for one n
-        self.memos = [self.sets if key in ("A", "B") else self.values for _, key in slots]
         payload = _report_dict(report)
         mark = "\0"
-        for name, key in slots:
-            v = getattr(report, name)
-            if isinstance(v, Polynomial):
-                self.polys[v] = json.dumps(payload[key])
+        for key in _SWEEP_SLOTS:
             payload[key] = mark
         # no fixed field holds a string, so the marks split at the slots only
         pieces = json.dumps(payload).split(json.dumps(mark))
@@ -196,13 +197,20 @@ class _SweepLines:
         memo[id(v)] = hit = (v, text)
         return hit
 
-    def line(self, report) -> str:
-        if not self.fits(report):
-            self._start_template(report)
-        return self.template % tuple([
-            (memo.get(id(v)) or self._text(memo, v))[1]
-            for v, memo in zip(self.slots_of(report), self.memos)
-        ])
+    def line(self, r) -> str:
+        if not self.fits(r):
+            self._start_template(r)
+        texts, pairs, text = self.texts, self.pairs, self._text
+        get, v = texts.get, r.violating_pairs
+        return self.template % (
+            (get(id(r.a_set)) or text(texts, r.a_set))[1],
+            (get(id(r.b_set)) or text(texts, r.b_set))[1],
+            "true" if r.hypothesis_ok else "false",
+            (pairs.get(id(v)) or text(pairs, v))[1],
+            (get(id(r.det_h)) or text(texts, r.det_h))[1],
+            (get(id(r.det_e)) or text(texts, r.det_e))[1],
+            "true" if r.equal else "false",
+        )
 
 
 def _json_text(value) -> str:

@@ -9,6 +9,12 @@ one grid share their sub-minors.  A polynomial minor is one term map that
 its entry.  The polynomial and the integer determinant are its full
 minor, which costs O(2^n * n) ring multiplications -- far below the n! of
 the Leibniz sum kept here as an independent oracle.
+
+Minor functions of grids of one size may share a ``SharedMinors`` memo
+when each entry is fixed by its row, its column and one part (a small
+int) that each of them reads.  A key then also packs the parts its rows
+and columns read, one field each, so equal keys mean equal entries and
+the key is exact.  Equal values in the memo are one object.
 """
 
 from __future__ import annotations
@@ -37,7 +43,37 @@ class SizeMismatchError(ValueError):
 Matrix = Sequence[Sequence]
 
 
-def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]:
+class SharedMinors:
+    """A memo shared by the minor functions of n x n grids whose rows and
+    columns read parts below 2**bits; its values are interned."""
+
+    def __init__(self, n: int, bits: int):
+        self.memo: dict = {}
+        self.values: dict = {}
+        self.bits = bits
+        # fields[mask]: the part fields of mask's indexes
+        fields = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            fields[mask] = fields[mask ^ low] | ((1 << bits) - 1) << (low.bit_length() - 1) * bits
+        # a key holds the row fields above the column fields above the masks
+        self.col_shift, self.row_shift = 2 * n, (2 + bits) * n
+        self.col_fields = [f << self.col_shift for f in fields]
+        self.row_fields = [f << self.row_shift for f in fields]
+
+    def pack(self, parts: Sequence[int], shift: int) -> int:
+        if any(p >> self.bits for p in parts):
+            raise ValueError(f"parts {tuple(parts)} do not fit in {self.bits} bits")
+        return sum(p << (shift + i * self.bits) for i, p in enumerate(parts))
+
+    def clear(self) -> None:
+        self.memo.clear()
+        self.values.clear()
+
+
+def minors(
+    entries: Sequence, n: int, one, zero, shared: SharedMinors | None = None, parts=((), ())
+) -> Callable[[int, int], object]:
     """Minor function of the row-major n x n entry list: ``minor(rows,
     cols)`` is the determinant of the submatrix on the row and column
     bitmasks, which must hold equally many bits; the empty minor is one.
@@ -46,15 +82,25 @@ def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]
     memoised on the (row mask, column mask) pair, so minors requested
     through one function share their sub-minors.  Entries are read by
     index, only where the expansion reaches them.  Works over the ints
-    and the polynomials; zero entries are skipped."""
-    memo: dict = {}
+    and the polynomials; zero entries are skipped, a polynomial one by
+    its identity with the shared zero.  With ``shared``, the memo is
+    shared's and ``parts`` lists the part each row and each column reads
+    (see the module docstring); the entries must be polynomials."""
+    memo: dict = {} if shared is None else shared.memo
+    values = None if shared is None else shared.values
     fold = None if isinstance(one, int) else Polynomial.fold_product
     folded = Polynomial.folded
+    if shared is not None:
+        row_parts = shared.pack(parts[0], shared.row_shift)
+        col_parts = shared.pack(parts[1], shared.col_shift)
+        row_fields, col_fields = shared.row_fields, shared.col_fields
 
     def minor(rows: int, cols: int):
         if not rows:
             return one
         key = rows << n | cols
+        if values is not None:
+            key |= row_parts & row_fields[rows] | col_parts & col_fields[cols]
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -67,14 +113,17 @@ def minors(entries: Sequence, n: int, one, zero) -> Callable[[int, int], object]
         while rest:
             low = rest & -rest
             e = entries[base + low.bit_length() - 1]
-            if e:
-                if fold:
+            if fold:
+                if e is not zero:
                     acc = fold(acc, sign, e, minor(rows, cols ^ low))
-                else:
-                    acc += sign * e * minor(rows, cols ^ low)
+            elif e:
+                acc += sign * e * minor(rows, cols ^ low)
             sign = -sign
             rest ^= low
-        memo[key] = acc = folded(acc)
+        acc = folded(acc)
+        if values is not None:
+            acc = values.setdefault(acc, acc)
+        memo[key] = acc
         return acc
 
     return minor

@@ -19,6 +19,14 @@ Every determinant pair, of a shape or of a corollary, is read from the
 ``MinorPair`` of its entry rules.  ``ShapeCheck``, the pair of a shape,
 verifies any number of its selections; ``verify_main`` is its
 one-selection use and ``run_sweep`` builds one per shape.
+
+A sweep shares minors between the shapes of one n: one
+``detring.SharedMinors`` per side and n.  An h-entry at (a, b) is fixed
+by a, b, alpha_{a+1} and beta_b; an e-entry at (a', b') by a', b',
+alpha_{a'} and beta_{b'+1}, read only when a' > b' (so row 0 and column n
+read none).  Keying a minor on its rows, its columns and those parts is
+therefore exact.  The memos are cleared when n ends, and between shapes
+once they pass SWEEP_MEMO_KEYS keys.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from functools import partial
 from typing import Callable
 
 from . import connectors as conn
-from .detring import Matrix, minors
+from .detring import Matrix, SharedMinors, minors
 from .lattice import build_L, build_R
 from .poly import LazyGrid, Polynomial, e_poly, h_poly, qbinom
 from .shape import (
@@ -96,13 +104,14 @@ class MinorPair:
     and columns B^c of the grid of ``e_entry``.  Each side keeps one minor
     function over its grid, so a minor is computed at most once however
     many selections read it, and a grid entry only when an expansion first
-    reads it.  ``one`` and ``zero`` are those of the entries' ring.
+    reads it.  ``one`` and ``zero`` are those of the entries' ring;
+    ``shared`` and ``parts`` pair the sides' arguments of ``minors``.
     """
 
-    def __init__(self, h_entry: Callable, e_entry: Callable, n: int, one, zero):
+    def __init__(self, h_entry, e_entry, n: int, one, zero, shared=(None, None), parts=((), ())):
         width = n + 1
-        self.minor_h = minors(LazyGrid(h_entry, width), width, one, zero)
-        self.minor_e = minors(LazyGrid(e_entry, width), width, one, zero)
+        self.minor_h = minors(LazyGrid(h_entry, width), width, one, zero, shared[0], parts[0])
+        self.minor_e = minors(LazyGrid(e_entry, width), width, one, zero, shared[1], parts[1])
 
     def dets(self, sel: IndexSelection) -> tuple:
         """(det_h, det_e) of one selection."""
@@ -113,11 +122,17 @@ class MinorPair:
 class ShapeCheck(MinorPair):
     """The duality checks of one shape, sharing their work across selections:
     the minor pair of ``entry_h`` and ``entry_e`` on the shape, and the
-    shape's ``parallelogram_hypothesis``."""
+    shape's ``parallelogram_hypothesis``; the minors read through shared,
+    an (h-side, e-side) pair of ``SharedMinors``, when given."""
 
-    def __init__(self, shape: SkewShape):
+    def __init__(self, shape: SkewShape, shared: tuple = (None, None)):
         one, zero = Polynomial.one(), Polynomial.zero()
-        super().__init__(partial(entry_h, shape), partial(entry_e, shape), shape.n, one, zero)
+        alpha, beta = shape.alpha, shape.beta
+        # the parts each row and column of the two grids reads
+        parts = (alpha + alpha[-1:], beta[:1] + beta), ((0,) + alpha, beta + (0,))
+        super().__init__(
+            partial(entry_h, shape), partial(entry_e, shape), shape.n, one, zero, shared, parts
+        )
         self.shape = shape
 
     def report(
@@ -312,6 +327,10 @@ class SweepSummary:
                 self.fails_unequal += 1
 
 
+# a sweep clears its minor memos between shapes once they hold more keys
+SWEEP_MEMO_KEYS = 1 << 17
+
+
 def run_sweep(
     max_n: int,
     max_part: int,
@@ -319,14 +338,19 @@ def run_sweep(
     per_case: Callable[[VerificationReport], None] | None = None,
 ) -> SweepSummary:
     """Verify every case, shapes by n and then every selection of each
-    shape, through one ``ShapeCheck`` per shape; with hypothesis_only, skip
-    cases whose parallelogram check fails (their determinants are not
-    computed)."""
+    shape, through one ``ShapeCheck`` per shape and shared minors per n;
+    with hypothesis_only, skip cases whose parallelogram check fails
+    (their determinants are not computed)."""
     summary = SweepSummary(max_n, max_part, hypothesis_only)
+    bits = max_part.bit_length()
     for n in range(1, max_n + 1):
         sels = list(selections(n))
+        shared = SharedMinors(n + 1, bits), SharedMinors(n + 1, bits)
         for shape in skew_shapes(n, max_part):
-            check = ShapeCheck(shape)
+            if sum(len(side.memo) for side in shared) > SWEEP_MEMO_KEYS:
+                for side in shared:
+                    side.clear()
+            check = ShapeCheck(shape, shared)
             for sel in sels:
                 hypothesis = parallelogram_hypothesis(shape, sel)
                 if hypothesis_only and not hypothesis.ok:
@@ -335,4 +359,8 @@ def run_sweep(
                 summary.bucket(report)
                 if per_case is not None:
                     per_case(report)
+        # each shape's minor function refers to itself, so the memos would
+        # stay alive until the cycle collector runs
+        for side in shared:
+            side.clear()
     return summary

@@ -16,8 +16,8 @@ the exponent and the bound, instead of wrapping.
 
 A polynomial maps keys to nonzero integer coefficients, so two polynomials
 are equal exactly when their term maps are equal.  All values are
-immutable.  Zero is one object: a sum, negation or product without terms
-is `Polynomial.zero()`.
+immutable.  Zero is one object: a polynomial built, summed, negated or
+multiplied to no terms is `Polynomial.zero()`.
 
 `Polynomial.fold_product`, the one product loop, adds sign * p * q into a
 term map: one map per determinant minor.  Only a pair whose key ORs' sum
@@ -200,18 +200,23 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+    def __new__(cls, terms: Mapping[Monomial, int] | None = None):
         """Polynomial with the given terms; a monomial may list variables in
         any order, repeated or with zero exponents, and like terms add.
         Coefficients must be ints; an exponent past MAX_EXPONENT raises
-        OverflowError."""
+        OverflowError.  No term left is the shared zero."""
         acc: dict[int, int] = {}
         for m, c in (terms or {}).items():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient of {m} is not an int: {c!r}")
             key = _encode(m)
             acc[key] = acc.get(key, 0) + c
-        self._terms: dict[int, int] = {m: c for m, c in acc.items() if c}
+        return Polynomial.folded({m: c for m, c in acc.items() if c})
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which never
+        # hands out a second zero nor writes into the shared one
+        return Polynomial, (dict(self.sorted_terms()),)
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> "Polynomial":

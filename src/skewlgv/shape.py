@@ -13,18 +13,16 @@ shape's lines.
 
 The shape owns the diagram's geometry: ``has_box`` is the one box rule,
 and the box corners, the isolated designated points, row-connectedness
-and the parallelogram clauses are computed once per shape, on first use.
-The lattices and ``parallelogram_hypothesis`` read them here.
+and the failing parallelogram clauses are computed once per shape, on
+first use.  The lattices and ``parallelogram_hypothesis`` read them here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
-
-from .poly import LazyGrid
 
 
 class ShapeError(ValueError):
@@ -123,10 +121,18 @@ class SkewShape:
         return True
 
     @cached_property
-    def clauses(self) -> LazyGrid:
-        """``parallelogram_clause(self, a', b')`` at a' * (n+1) + b', each
-        computed on first read."""
-        return LazyGrid(partial(parallelogram_clause, self), self.n + 1)
+    def failing_clauses(self) -> int:
+        """Bit a' * (n+1) + b' is set when ``parallelogram_clause(self, a',
+        b')`` fails."""
+        width = self.n + 1
+        return sum(
+            1 << k for k in range(width * width) if not parallelogram_clause(self, *divmod(k, width))
+        )
+
+    @cached_property
+    def hypotheses(self) -> dict:
+        """Failed ``parallelogram_hypothesis`` checks by failing pairs."""
+        return {}
 
     def box_count(self) -> int:
         return sum(b - a for a, b in zip(self.alpha, self.beta))
@@ -195,6 +201,12 @@ class IndexSelection:
             sum(1 << x for x in s) for s in (self.a_set, self.b_set, self.a_comp, self.b_comp)
         )
 
+    @cached_property
+    def pairs(self) -> int:
+        """A^c x B^c as a bitmask, pair (a', b') at bit a' * (n+1) + b'."""
+        b_comp = self.masks[3]
+        return sum(b_comp << a_p * (self.n + 1) for a_p in self.a_comp)
+
     @property
     def l(self) -> int:
         return len(self.a_set)
@@ -237,18 +249,21 @@ def parallelogram_clause(shape: SkewShape, a_p: int, b_p: int) -> bool:
 def parallelogram_hypothesis(
     shape: SkewShape, sel: IndexSelection
 ) -> HypothesisCheck:
-    """Check every (a', b') pair in A^c x B^c, reading the clauses off the
-    shape's table; report all violators."""
-    clauses, width = shape.clauses, shape.n + 1
-    violations = [
-        (a_p, b_p)
-        for a_p in sel.a_comp
-        for b_p in sel.b_comp
-        if not clauses[a_p * width + b_p]
-    ]
-    if not violations:
+    """Check every (a', b') pair in A^c x B^c against the shape's failing
+    clauses; report all violators, in that order.  Selections of one shape
+    with the same violators get one object."""
+    failing = shape.failing_clauses & sel.pairs
+    if not failing:
         return _HOLDS
-    return HypothesisCheck(False, tuple(violations))
+    found = shape.hypotheses.get(failing)
+    if found is None:
+        violations, rest = [], failing
+        while rest:
+            low = rest & -rest
+            violations.append(divmod(low.bit_length() - 1, shape.n + 1))
+            rest ^= low
+        found = shape.hypotheses[failing] = HypothesisCheck(False, tuple(violations))
+    return found
 
 
 def line_points(shape: SkewShape, t: int) -> tuple[Node, Node]:

@@ -653,6 +653,26 @@ def test_sweep_jsonl_golden_repeats_in_one_process(capsys, tmp_path):
         assert hashlib.sha256(stream.read_bytes()).hexdigest() == SWEEP_3_3_JSONL[mode]
 
 
+def test_sweep_jsonl_golden_with_small_memo_caps(capsys, monkeypatch, tmp_path):
+    # the sweep's minor memos and the writer's texts are dropped many times
+    # within one n; every line still reads as recorded
+    cleared = []
+    real_clear = identity.SharedMinors.clear
+
+    def counted(self):
+        cleared.append(len(self.memo))
+        real_clear(self)
+
+    monkeypatch.setattr(identity, "SWEEP_MEMO_KEYS", 40)
+    monkeypatch.setattr(identity.SharedMinors, "clear", counted)
+    monkeypatch.setattr("skewlgv.cli._SWEEP_TEXTS", 30)
+    stream = tmp_path / "cases.jsonl"
+    code, _, _ = run(capsys, ["sweep", "--max-n", "3", "--max-part", "3", "--jsonl", str(stream)])
+    assert code == 0
+    assert hashlib.sha256(stream.read_bytes()).hexdigest() == SWEEP_3_3_JSONL["all"]
+    assert len(cleared) > 2 * 3 * 2
+
+
 def _spy_reference_lines(monkeypatch) -> list[str]:
     """Lines that run_sweep's per_case receives the reports of, each as
     ``json.dumps(_report_dict(report))``."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skewlgv.detring import (
     DimensionGuardError,
     NonSquareMatrixError,
+    SharedMinors,
     SizeMismatchError,
     det,
     det_naive,
@@ -15,7 +17,7 @@ from skewlgv.detring import (
     matmul,
     minors,
 )
-from skewlgv.poly import Polynomial, e_poly, h_poly
+from skewlgv.poly import Polynomial, e_poly, h_poly, qbinom
 from support import identity_matrix, int_cofactor_matrix
 
 X1 = Polynomial.variable(1)
@@ -221,6 +223,53 @@ def test_minors_of_polynomial_grids_match_det_naive(grid, point):
                     assert value is ZERO
                 elif k == 1:
                     assert value is sub[0][0]
+
+
+class _BoomAt3(list):
+    """A 2 x 2 grid whose entry 3, the minor under entry 0, may not be read."""
+
+    def __getitem__(self, k):
+        if k == 3:
+            raise AssertionError("read the minor under a zero entry")
+        return super().__getitem__(k)
+
+
+INT_ZEROS = {"literal": 0, "comb": math.comb(2, 3), "difference": 5 - 5, "parsed": int("-0"),
+             "big difference": 10**40 - 10**40}
+POLY_ZEROS = {
+    "integer": lambda: Polynomial.integer(0),
+    "x - x": lambda: X1 - X1,
+    "no terms": lambda: Polynomial({}),
+    "h_poly": lambda: h_poly(2, 3, 2),
+    "e_poly": lambda: e_poly(3, 1, 2),
+    "qbinom": lambda: qbinom(2, 3),
+}
+
+
+@pytest.mark.parametrize("name", INT_ZEROS)
+def test_int_minors_skip_zero_entries(name):
+    minor = minors(_BoomAt3([INT_ZEROS[name], 3, 2, None]), 2, 1, 0)
+    assert minor(0b11, 0b11) == -6
+
+
+@pytest.mark.parametrize("name", POLY_ZEROS)
+def test_polynomial_minors_skip_zero_entries_by_identity(monkeypatch, name):
+    zero = POLY_ZEROS[name]()
+    assert zero is ZERO
+
+    def no_truth_test(p):
+        raise AssertionError("Polynomial.__bool__ called")
+
+    monkeypatch.setattr(Polynomial, "__bool__", no_truth_test)
+    minor = minors(_BoomAt3([zero, P(3), X1, None]), 2, ONE, ZERO)
+    assert minor(0b11, 0b11) == -3 * X1
+
+
+def test_shared_minors_refuse_a_part_wider_than_its_field():
+    shared = SharedMinors(2, 2)
+    assert shared.pack([3, 1], 0) == 3 | 1 << 2
+    with pytest.raises(ValueError, match="do not fit in 2 bits"):
+        minors([ONE] * 4, 2, ONE, ZERO, shared, ([1, 4], [0, 0]))
 
 
 def test_cancelling_minor_is_the_shared_zero():

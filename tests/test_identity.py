@@ -445,6 +445,63 @@ def _sweep_cases(max_n, max_part):
 
 
 def test_run_sweep_matches_per_case_oracle():
+    _check_run_sweep_3_3_against_oracle()
+
+
+def test_run_sweep_with_a_small_memo_cap_matches_per_case_oracle(monkeypatch):
+    clears = []
+    real_clear = identity.SharedMinors.clear
+
+    def counted(self):
+        clears.append(len(self.memo))
+        real_clear(self)
+
+    monkeypatch.setattr(identity, "SWEEP_MEMO_KEYS", 40)
+    monkeypatch.setattr(identity.SharedMinors, "clear", counted)
+    _check_run_sweep_3_3_against_oracle()
+    # past the cap, and not only when each n ends
+    assert len(clears) > 2 * 3 * 2 and max(clears) > 40
+
+
+def _part_reads(side, shape, rows, cols):
+    """The parts that the rows and columns of one minor of a side read."""
+    alpha, beta = shape.alpha, shape.beta
+    if side == "h":
+        row_parts, col_parts = alpha + alpha[-1:], beta[:1] + beta
+    else:
+        row_parts, col_parts = (0,) + alpha, beta + (0,)
+    return tuple(row_parts[a] for a in rows), tuple(col_parts[b] for b in cols)
+
+
+def test_sweep_minors_are_shared_by_shapes_and_interned_per_n():
+    reports = []
+    run_sweep(3, 2, per_case=reports.append)
+    by_key, by_value, shared = {}, {}, 0
+    for rep in reports:
+        sel = IndexSelection(rep.n, rep.a_set, rep.b_set)
+        shape = SkewShape(rep.alpha, rep.beta)
+        for side, det_, rows, cols in (
+            ("h", rep.det_h, sel.a_set, sel.b_set), ("e", rep.det_e, sel.a_comp, sel.b_comp)
+        ):
+            key = (rep.n, side, rows, cols, _part_reads(side, shape, rows, cols))
+            first = by_key.setdefault(key, (det_, rep.alpha, rep.beta))
+            # shapes that agree on the parts a minor reads get one det object
+            assert first[0] is det_, key
+            if len(rows) > 1 and first[1:] != (rep.alpha, rep.beta):
+                shared += 1
+            # equal minors of one n and side are one object
+            assert by_value.setdefault((rep.n, side, det_), det_) is det_
+    assert shared > 1000
+    # two shapes apart in beta_3 only; rows {0, 1} and columns {1, 2} read
+    # alpha_1, alpha_2, beta_1 and beta_2
+    a, b = (
+        next(r for r in reports if (r.alpha, r.beta, r.a_set, r.b_set) == (alpha, beta, (0, 1), (1, 2)))
+        for alpha, beta in (((0, 0, 0), (2, 2, 1)), ((0, 0, 0), (2, 2, 2)))
+    )
+    assert a.det_h is b.det_h == h_poly(1, 1, 2) ** 2 - h_poly(2, 1, 2) != ZERO
+
+
+def _check_run_sweep_3_3_against_oracle():
     # the shape-batched sweep against matrices built and expanded per case
     reports = []
     summary = run_sweep(3, 3, per_case=reports.append)
@@ -494,8 +551,8 @@ def test_hypothesis_only_sweep_reads_no_minor_of_a_failing_case(monkeypatch):
     reads = []
 
     class SpyCheck(identity.ShapeCheck):
-        def __init__(self, shape):
-            super().__init__(shape)
+        def __init__(self, shape, *shared):
+            super().__init__(shape, *shared)
             for side in ("minor_h", "minor_e"):
                 def spy(rows, cols, side=side, minor=getattr(self, side)):
                     reads.append((shape, side, rows, cols))

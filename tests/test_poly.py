@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,23 @@ def test_cancelling_results_are_the_shared_zero():
     assert -ZERO is ZERO
     assert -(X1 - X1) is ZERO
     assert ZERO * 3 is ZERO
+
+
+def test_constructor_without_terms_is_the_shared_zero():
+    assert Polynomial({}) is ZERO
+    assert Polynomial() is ZERO
+    assert Polynomial({((1, 1),): 0}) is ZERO
+    # like terms that cancel, the second listing x2 with a zero exponent
+    assert Polynomial({((1, 1),): 2, ((1, 1), (2, 0)): -2}) is ZERO
+    assert Polynomial({((1, 1),): 2, ((1, 1), (2, 0)): -1}) == X1
+
+
+@pytest.mark.parametrize("p", [ZERO, ONE, Q * X1 - 3 * X2**2], ids=["zero", "one", "mixed"])
+def test_copies_and_pickles_rebuild_through_the_constructor(p):
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and str(twin) == str(p)
+        assert (twin is ZERO) == (p is ZERO)
+    assert str(ZERO) == "0" and not ZERO
 
 
 def test_add_merges_coefficients():

@@ -157,6 +157,19 @@ def test_clause_memo_computes_each_pair_once(monkeypatch):
     assert len(calls) == 16 and max(calls.values()) == 1
 
 
+def test_selections_with_the_same_failing_pairs_share_one_check():
+    # on this shape only the clause at (a', b') = (2, 0) fails
+    shape = make_skew([0, 0], [3, 1])
+    first = parallelogram_hypothesis(shape, IndexSelection.make(2, [0, 1], [1, 2]))
+    again = parallelogram_hypothesis(shape, IndexSelection.make(2, [1], [1]))
+    assert first == (False, ((2, 0),))
+    assert again is first
+    by_violations = {}
+    for sel in selections(2):
+        check = parallelogram_hypothesis(shape, sel)
+        assert by_violations.setdefault(check.violations, check) is check
+
+
 # --- special partitions ------------------------------------------------------
 
 
