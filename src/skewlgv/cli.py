@@ -15,13 +15,12 @@ the first call and reuses it.  Every indented JSON output goes through one
 writer, `_json_text`.
 
 The lines of `sweep --jsonl` are those `json.dumps` writes for each case's
-report payload, built by `_SweepLines` from one line template per shape:
-the shape's own fields are encoded once per shape, and the fields that
-vary between its selections are filled in from memoised texts, one per
-distinct value.  The memos belong to one `cmd_sweep` call and are bounded:
-the texts of the violating pairs are kept for one shape, all others for
-one n and at most _SWEEP_TEXTS of them.  Nothing of this is built at
-import or before the sweep guard.
+report payload, without a report: `_sweep_writer` makes a head and a tail
+text once per shape and fills in between them the texts of the case's
+selection, of its hypothesis check and of its (det_h, det_e) pair, each
+memoised by identity.  The sweep interns its minors, so a pair is equal
+when its two values are one object.  The memos belong to one `cmd_sweep`
+call and are bounded: they are dropped with n and past _SWEEP_TEXTS texts.
 """
 
 from __future__ import annotations
@@ -134,83 +133,55 @@ def _report_dict(report, kind: str | None = None) -> dict:
     return payload
 
 
-# JSON keys of the report fields that vary between the selections of one
-# sweep shape, in field order; the other fields are fixed text of the
-# shape's line template
-_SWEEP_SLOTS = ("A", "B", "hypothesis_ok", "violating_pairs", "det_h", "det_e", "equal")
 # the sweep's minors of one n are one object only between two clears of its
 # memos, so the JSONL writer also drops its texts past this many
 _SWEEP_TEXTS = 1 << 12
 
 
-class _SweepLines:
-    """The sweep's JSONL lines: ``line(report)`` is exactly
-    ``json.dumps(_report_dict(report)) + "\\n"``.
+def _sweep_writer(stream):
+    """The sweep's per-shape callback that writes each case's line,
+    exactly ``json.dumps(_report_dict(check.report(sel, hypothesis)))``.
 
-    ``_report_dict`` of a shape's first report gives the shape's line
-    template: the text of every field but the slots, ``_SWEEP_SLOTS``.  The
-    template stands while each of those fields of a report is the very
-    object it was built from.  ``line`` fills the two bool slots itself
-    and each other slot with the text of its value, memoised by identity;
-    each memo holds its values alive, so that an id is not reused.  Equal
-    tuples need not print alike, since (1,) == (True,), but equal
-    polynomials do, so a polynomial's text is also memoised by equality.
-    The texts of the violating pairs, one object per shape and set of
-    pairs, are dropped with each template; the others, of the selections
-    and minors that a sweep shares across the shapes of one n, with n or
-    once they pass _SWEEP_TEXTS.
+    The shape's fields before "A" and after "equal" are the head and the
+    tail of its lines, taken from one report.  The fields between them are
+    filled in from texts memoised by the id of the selection, of the
+    hypothesis check and of the (det_h, det_e) pair.  The objects of each
+    kept text are held alive, so that an id is not reused; equal tuples
+    need not print alike, since (1,) == (True,).
     """
+    texts: dict = {}
+    kept: list = []
+    n = None  # the n whose texts are kept
 
-    def __init__(self):
-        self.fits = lambda report: False  # no template yet
-        self.n = None
-        self.texts: dict[int, tuple[object, str]] = {}
-        self.pairs: dict[int, tuple[object, str]] = {}
-        self.polys: dict[Polynomial, str] = {}
+    def put(key, objs, **fields) -> str:
+        kept.append(objs)
+        text = texts[key] = json.dumps(fields)[1:-1]
+        return text
 
-    def _start_template(self, report) -> None:
-        from operator import attrgetter, is_  # not at import: see the module docstring
+    def write(check: identity.ShapeCheck, cases: list) -> None:
+        nonlocal n
+        if not cases:
+            return
+        if check.shape.n != n or len(texts) > _SWEEP_TEXTS:
+            n = check.shape.n
+            texts.clear()
+            kept.clear()
+        payload = _report_dict(check.report(*cases[0][:2]))
+        keys = list(payload)
+        a, eq = keys.index("A"), keys.index("equal")
+        head = json.dumps({k: payload[k] for k in keys[:a]})[:-1]
+        tail = json.dumps({k: payload[k] for k in keys[eq + 1 :]})[1:]
+        get, lines = texts.get, []
+        for sel, hyp, dh, de in cases:
+            pair = id(dh), id(de)
+            lines.append(
+                f"{head}, {get(id(sel)) or put(id(sel), sel, A=sel.a_set, B=sel.b_set)}, "
+                f"{get(id(hyp)) or put(id(hyp), hyp, hypothesis_ok=hyp.ok, violating_pairs=hyp.violations)}, "
+                f"{get(pair) or put(pair, (dh, de), det_h=str(dh), det_e=str(de), equal=dh is de)}, {tail}\n"
+            )
+        stream.write("".join(lines))
 
-        if report.n != self.n or len(self.texts) > _SWEEP_TEXTS:
-            self.n = report.n
-            self.texts.clear()
-            self.polys.clear()
-        self.pairs.clear()
-        fields = _json_fields(type(report))
-        assert tuple(key for _, key in fields if key in _SWEEP_SLOTS) == _SWEEP_SLOTS
-        fixed_of = attrgetter(*(name for name, key in fields if key not in _SWEEP_SLOTS))
-        fixed = fixed_of(report)
-        self.fits = lambda r: all(map(is_, fixed_of(r), fixed))
-        payload = _report_dict(report)
-        mark = "\0"
-        for key in _SWEEP_SLOTS:
-            payload[key] = mark
-        # no fixed field holds a string, so the marks split at the slots only
-        pieces = json.dumps(payload).split(json.dumps(mark))
-        self.template = "%s".join(p.replace("%", "%%") for p in pieces) + "\n"
-
-    def _text(self, memo: dict, v) -> tuple[object, str]:
-        if isinstance(v, Polynomial):
-            text = self.polys.get(v) or self.polys.setdefault(v, json.dumps(str(v)))
-        else:
-            text = json.dumps(v)
-        memo[id(v)] = hit = (v, text)
-        return hit
-
-    def line(self, r) -> str:
-        if not self.fits(r):
-            self._start_template(r)
-        texts, pairs, text = self.texts, self.pairs, self._text
-        get, v = texts.get, r.violating_pairs
-        return self.template % (
-            (get(id(r.a_set)) or text(texts, r.a_set))[1],
-            (get(id(r.b_set)) or text(texts, r.b_set))[1],
-            "true" if r.hypothesis_ok else "false",
-            (pairs.get(id(v)) or text(pairs, v))[1],
-            (get(id(r.det_h)) or text(texts, r.det_h))[1],
-            (get(id(r.det_e)) or text(texts, r.det_e))[1],
-            "true" if r.equal else "false",
-        )
+    return write
 
 
 def _json_text(value) -> str:
@@ -396,18 +367,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         return EXIT_GUARD
 
-    lines = _SweepLines()  # this call's memos
-
-    def emit(report: identity.VerificationReport) -> None:
-        stream.write(lines.line(report))
-
     try:
         with open(args.jsonl, "w", encoding="utf-8") if args.jsonl else contextlib.nullcontext() as stream:
             summary = identity.run_sweep(
                 args.max_n,
                 args.max_part,
                 hypothesis_only=args.hypothesis_only,
-                per_case=None if stream is None else emit,
+                per_shape=None if stream is None else _sweep_writer(stream),
             )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,14 +42,18 @@ class SizeMismatchError(ValueError):
 
 Matrix = Sequence[Sequence]
 
+_ALWAYS_INTERNED = {p: p for p in (Polynomial.one(), Polynomial.zero())}
+
 
 class SharedMinors:
     """A memo shared by the minor functions of n x n grids whose rows and
-    columns read parts below 2**bits; its values are interned."""
+    columns read parts below 2**bits.  Its values are interned in a table,
+    which several memos may share, and that always holds one and zero."""
 
-    def __init__(self, n: int, bits: int):
+    def __init__(self, n: int, bits: int, values: dict | None = None):
         self.memo: dict = {}
-        self.values: dict = {}
+        self.values = {} if values is None else values
+        self.values.update(_ALWAYS_INTERNED)
         self.bits = bits
         # fields[mask]: the part fields of mask's indexes
         fields = [0] * (1 << n)
@@ -67,8 +71,10 @@ class SharedMinors:
         return sum(p << (shift + i * self.bits) for i, p in enumerate(parts))
 
     def clear(self) -> None:
+        # every memo sharing the table must be cleared with it
         self.memo.clear()
         self.values.clear()
+        self.values.update(_ALWAYS_INTERNED)
 
 
 def minors(

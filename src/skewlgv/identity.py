@@ -25,8 +25,10 @@ A sweep shares minors between the shapes of one n: one
 by a, b, alpha_{a+1} and beta_b; an e-entry at (a', b') by a', b',
 alpha_{a'} and beta_{b'+1}, read only when a' > b' (so row 0 and column n
 read none).  Keying a minor on its rows, its columns and those parts is
-therefore exact.  The memos are cleared when n ends, and between shapes
-once they pass SWEEP_MEMO_KEYS keys.
+therefore exact.  Both sides intern their values in one table per n, so
+a sweep case is equal when ``det_h is det_e`` (elsewhere, ``==``).  Both
+memos and the table are cleared together, when n ends and between shapes
+once the memos pass SWEEP_MEMO_KEYS keys.  A sweep makes no report.
 """
 
 from __future__ import annotations
@@ -313,18 +315,17 @@ class SweepSummary:
     fails_unequal: int = 0
     holds_unequal: int = 0
 
-    def bucket(self, report: VerificationReport) -> None:
+    def bucket(self, ok: bool, equal: bool) -> None:
         self.total += 1
-        if report.hypothesis_ok:
-            if report.equal:
+        if ok:
+            if equal:
                 self.holds_equal += 1
             else:
                 self.holds_unequal += 1
+        elif equal:
+            self.fails_equal += 1
         else:
-            if report.equal:
-                self.fails_equal += 1
-            else:
-                self.fails_unequal += 1
+            self.fails_unequal += 1
 
 
 # a sweep clears its minor memos between shapes once they hold more keys
@@ -335,30 +336,34 @@ def run_sweep(
     max_n: int,
     max_part: int,
     hypothesis_only: bool = False,
-    per_case: Callable[[VerificationReport], None] | None = None,
+    per_shape: Callable[[ShapeCheck, list], None] | None = None,
 ) -> SweepSummary:
     """Verify every case, shapes by n and then every selection of each
     shape, through one ``ShapeCheck`` per shape and shared minors per n;
     with hypothesis_only, skip cases whose parallelogram check fails
-    (their determinants are not computed)."""
+    (their determinants are not computed).  per_shape, when given, gets
+    each shape's check and its cases (sel, hypothesis, det_h, det_e)."""
     summary = SweepSummary(max_n, max_part, hypothesis_only)
     bits = max_part.bit_length()
     for n in range(1, max_n + 1):
         sels = list(selections(n))
-        shared = SharedMinors(n + 1, bits), SharedMinors(n + 1, bits)
+        h_side = SharedMinors(n + 1, bits)
+        shared = h_side, SharedMinors(n + 1, bits, h_side.values)
         for shape in skew_shapes(n, max_part):
             if sum(len(side.memo) for side in shared) > SWEEP_MEMO_KEYS:
                 for side in shared:
                     side.clear()
             check = ShapeCheck(shape, shared)
+            cases = []
             for sel in sels:
                 hypothesis = parallelogram_hypothesis(shape, sel)
                 if hypothesis_only and not hypothesis.ok:
                     continue
-                report = check.report(sel, hypothesis)
-                summary.bucket(report)
-                if per_case is not None:
-                    per_case(report)
+                dh, de = check.dets(sel)
+                summary.bucket(hypothesis.ok, dh is de)
+                cases.append((sel, hypothesis, dh, de))
+            if per_shape is not None:
+                per_shape(check, cases)
         # each shape's minor function refers to itself, so the memos would
         # stay alive until the cycle collector runs
         for side in shared:

@@ -123,10 +123,18 @@ class SkewShape:
     @cached_property
     def failing_clauses(self) -> int:
         """Bit a' * (n+1) + b' is set when ``parallelogram_clause(self, a',
-        b')`` fails."""
-        width = self.n + 1
+        b')`` fails.  In O(n^2): with s_i = alpha_i + i and t_i = beta_i + i,
+        a' > b' and the degree in range (s_{a'} < t_{b'+1}), the alpha-half
+        fails when the last i < a' with s_i > s_{a'} exceeds b', the
+        beta-half when the first i > b'+1 with t_i < t_{b'+1} is <= a'."""
+        n, width = self.n, self.n + 1
+        s = (0, *(x + i for i, x in enumerate(self.alpha, 1)))
+        t = (0, *(x + i for i, x in enumerate(self.beta, 1)))
+        last = [max((i for i in range(1, a) if s[i] > s[a]), default=0) for a in range(width)]
+        first = [min((i for i in range(b + 2, width) if t[i] < t[b + 1]), default=width) for b in range(n)]
         return sum(
-            1 << k for k in range(width * width) if not parallelogram_clause(self, *divmod(k, width))
+            sum(1 << b for b in range(a) if s[a] < t[b + 1] and (last[a] > b or first[b] <= a)) << a * width
+            for a in range(1, width)
         )
 
     @cached_property

@@ -61,6 +61,21 @@ def identity_matrix(n):
     return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
 
 
+def unitriangular_inverse(rows):
+    """Inverse of an upper unitriangular matrix, by back substitution and
+    without division: X[i][j] = [i = j] - sum over i < k <= j of
+    M[i][k] * X[k][j]."""
+    n = len(rows)
+    one, zero = Polynomial.one(), Polynomial.zero()
+    inv = [None] * n
+    for i in reversed(range(n)):
+        inv[i] = [
+            (one if i == j else zero) - sum((rows[i][k] * inv[k][j] for k in range(i + 1, j + 1)), zero)
+            for j in range(n)
+        ]
+    return tuple(map(tuple, inv))
+
+
 def naive_connectors(lat, disjoint_only=True):
     """(paths, weight, flavor) of each of lat's connectors, from the full
     Cartesian product of the per-pair path lists filtered afterwards, with

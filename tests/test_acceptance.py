@@ -57,6 +57,7 @@ from support import (
     identity_matrix,
     is_partition_pair,
     line_extreme_lattice,
+    unitriangular_inverse,
 )
 
 MAX_N = 4
@@ -494,4 +495,34 @@ def test_criterion_9_hypothesis_is_not_necessary(sweep):
         f"sweep buckets: ({sweep.holds_equal} holds+equal, {sweep.fails_equal} "
         f"fails+equal, {sweep.fails_unequal} fails+unequal, "
         f"{len(sweep.holds_unequal)} holds+unequal)",
+    )
+
+
+def test_criterion_10_clauses_are_where_e_inverts_h():
+    # a conjecture checked to this size, not a theorem: the full h-matrix H
+    # of a shape is upper unitriangular, and G, the signed transpose of its
+    # inverse, differs from the e-grid exactly at the failing clauses
+    t0 = time.perf_counter()
+    shapes = mismatched = 0
+    for n in range(1, 6):
+        full = range(n + 1)
+        for shape in skew_shapes(n, 5):
+            h_full = build_full_H(shape)
+            inverse = unitriangular_inverse(h_full)
+            if shapes % 97 == 0:
+                assert matmul(inverse, h_full) == identity_matrix(n + 1)
+            differs = sum(
+                1 << a_p * (n + 1) + b_p
+                for a_p in full
+                for b_p in full
+                if (-1) ** (a_p + b_p) * inverse[b_p][a_p] != entry_e(shape, a_p, b_p)
+            )
+            shapes += 1
+            mismatched += differs != shape.failing_clauses
+    elapsed = time.perf_counter() - t0
+    report(
+        10,
+        shapes == 26089 and not mismatched,
+        f"G = signed transpose of H^-1 differs from the e-grid exactly at the failing "
+        f"clauses on all {shapes} partition shapes with n <= 5, parts <= 5 ({elapsed:.1f}s)",
     )

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewlgv import connectors, identity
 from skewlgv.cli import DIMENSION_LIMIT, _json_text, _report_dict, build_parser, main
+from skewlgv.detring import SharedMinors
 from skewlgv.poly import Polynomial
-from skewlgv.shape import IndexSelection, Node, SkewShape, selections
+from skewlgv.shape import IndexSelection, Node, SkewShape, parallelogram_hypothesis, selections
 
 DATA = Path(__file__).parent / "data"
 
@@ -674,17 +675,17 @@ def test_sweep_jsonl_golden_with_small_memo_caps(capsys, monkeypatch, tmp_path):
 
 
 def _spy_reference_lines(monkeypatch) -> list[str]:
-    """Lines that run_sweep's per_case receives the reports of, each as
-    ``json.dumps(_report_dict(report))``."""
+    """Lines of the cases that run_sweep's per_shape receives, each as
+    ``json.dumps(_report_dict(report))`` of the case's report."""
     lines: list[str] = []
     real = identity.run_sweep
 
-    def spy(*args, per_case=None, **kwargs):
-        def both(report):
-            lines.append(json.dumps(_report_dict(report)))
-            per_case(report)
+    def spy(*args, per_shape=None, **kwargs):
+        def both(check, cases):
+            lines.extend(json.dumps(_report_dict(check.report(sel, hyp))) for sel, hyp, _, _ in cases)
+            per_shape(check, cases)
 
-        return real(*args, per_case=None if per_case is None else both, **kwargs)
+        return real(*args, per_shape=None if per_shape is None else both, **kwargs)
 
     monkeypatch.setattr(identity, "run_sweep", spy)
     return lines
@@ -715,16 +716,20 @@ def test_sweep_jsonl_lines_follow_each_report(capsys, monkeypatch, tmp_path):
     assert shapes[0].alpha is shapes[1].alpha
     want: list[str] = []
 
-    def fake_run_sweep(max_n, max_part, hypothesis_only=False, per_case=None):
-        checks = [identity.ShapeCheck(shape) for shape in shapes]
+    def fake_run_sweep(max_n, max_part, hypothesis_only=False, per_shape=None):
+        # the minors of both shapes interned in one table, as run_sweep's
+        h_side = SharedMinors(3, 2)
+        shared = h_side, SharedMinors(3, 2, h_side.values)
+        checks = [identity.ShapeCheck(shape, shared) for shape in shapes]
         sels = [*selections(2), *(IndexSelection(2, tuple([x]), tuple([x])) for x in (1, True, 1))]
         summary = identity.SweepSummary(max_n, max_part, hypothesis_only)
         for sel in sels:
             for check in checks:
                 report = check.report(sel)
-                summary.bucket(report)
+                summary.bucket(report.hypothesis_ok, report.equal)
                 want.append(json.dumps(_report_dict(report)))
-                per_case(report)
+                hypothesis = parallelogram_hypothesis(check.shape, sel)
+                per_shape(check, [(sel, hypothesis, *check.dets(sel))])
         return summary
 
     monkeypatch.setattr(identity, "run_sweep", fake_run_sweep)
@@ -785,7 +790,7 @@ def test_sweep_without_jsonl_passes_no_writer(capsys, monkeypatch):
     assert code == 0
     assert out.startswith("cases: ")
     assert len(calls) == 1
-    assert calls[0].get("per_case") is None
+    assert calls[0].get("per_shape") is None
 
 
 def test_sweep_hypothesis_only(capsys):

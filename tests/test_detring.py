@@ -272,6 +272,23 @@ def test_shared_minors_refuse_a_part_wider_than_its_field():
         minors([ONE] * 4, 2, ONE, ZERO, shared, ([1, 4], [0, 0]))
 
 
+def test_shared_value_table_holds_one_and_zero_through_clears():
+    # a minor that cancels to 1 is a new polynomial, and no entry or
+    # sub-minor of this grid is 1; the grids of two sides share one table,
+    # so their equal minors must be one object, the empty one included
+    h_side = SharedMinors(2, 1)
+    e_side = SharedMinors(2, 1, h_side.values)
+    grid = [X1 + ONE, X1, X1 + P(2), X1 + ONE]
+    minor_h = minors(grid, 2, ONE, ZERO, h_side, ([0, 0], [0, 0]))
+    minor_e = minors(grid, 2, ONE, ZERO, e_side, ([0, 0], [0, 0]))
+    for _ in range(2):
+        assert minor_h(0b11, 0b11) is minor_e(0, 0) is ONE
+        assert minor_e(0b11, 0b11) is ONE
+        for side in (h_side, e_side):
+            side.clear()
+            assert not side.memo and side.values == {ONE: ONE, ZERO: ZERO}
+
+
 def test_cancelling_minor_is_the_shared_zero():
     assert det([[X1, X2], [X1, X2]]) is ZERO
     assert det([[X1 + X2, ONE], [X1 * X1 + X1 * X2, X1]]) is ZERO

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,6 +445,21 @@ def _sweep_cases(max_n, max_part):
     ]
 
 
+def _sweep_reports(*args, **kwargs):
+    """run_sweep's summary and the report of each case it visits, made by
+    ``ShapeCheck.report`` in the per-shape callback; each report's
+    determinants are the very objects that the sweep compared."""
+    reports = []
+
+    def per_shape(check, cases):
+        for sel, hypothesis, dh, de in cases:
+            rep = check.report(sel, hypothesis)
+            assert rep.det_h is dh and rep.det_e is de
+            reports.append(rep)
+
+    return run_sweep(*args, per_shape=per_shape, **kwargs), reports
+
+
 def test_run_sweep_matches_per_case_oracle():
     _check_run_sweep_3_3_against_oracle()
 
@@ -474,8 +490,7 @@ def _part_reads(side, shape, rows, cols):
 
 
 def test_sweep_minors_are_shared_by_shapes_and_interned_per_n():
-    reports = []
-    run_sweep(3, 2, per_case=reports.append)
+    _, reports = _sweep_reports(3, 2)
     by_key, by_value, shared = {}, {}, 0
     for rep in reports:
         sel = IndexSelection(rep.n, rep.a_set, rep.b_set)
@@ -489,8 +504,10 @@ def test_sweep_minors_are_shared_by_shapes_and_interned_per_n():
             assert first[0] is det_, key
             if len(rows) > 1 and first[1:] != (rep.alpha, rep.beta):
                 shared += 1
-            # equal minors of one n and side are one object
+            # equal minors of one n and side are one object, and so are
+            # those of the two sides, which share one value table
             assert by_value.setdefault((rep.n, side, det_), det_) is det_
+            assert by_value.setdefault((rep.n, det_), det_) is det_
     assert shared > 1000
     # two shapes apart in beta_3 only; rows {0, 1} and columns {1, 2} read
     # alpha_1, alpha_2, beta_1 and beta_2
@@ -503,8 +520,7 @@ def test_sweep_minors_are_shared_by_shapes_and_interned_per_n():
 
 def _check_run_sweep_3_3_against_oracle():
     # the shape-batched sweep against matrices built and expanded per case
-    reports = []
-    summary = run_sweep(3, 3, per_case=reports.append)
+    summary, reports = _sweep_reports(3, 3)
     cases = _sweep_cases(3, 3)
     assert summary.total == len(reports) == len(cases) == 13310
     for rep, (shape, sel) in zip(reports, cases):
@@ -525,9 +541,40 @@ def _check_run_sweep_3_3_against_oracle():
             isolated_points=shape.isolated_points,
             row_connected=shape.row_connected,
         ), (shape, sel)
-    hyp_only = []
-    run_sweep(3, 3, hypothesis_only=True, per_case=hyp_only.append)
+    buckets = Counter((rep.hypothesis_ok, rep.equal) for rep in reports)
+    assert (summary.holds_equal, summary.fails_equal, summary.fails_unequal, summary.holds_unequal) == (
+        buckets[True, True], buckets[False, True], buckets[False, False], buckets[True, False]
+    )
+    _, hyp_only = _sweep_reports(3, 3, hypothesis_only=True)
     assert hyp_only == [rep for rep in reports if rep.hypothesis_ok]
+
+
+@pytest.mark.parametrize("memo_keys", [identity.SWEEP_MEMO_KEYS, 40])
+def test_sweep_minors_are_equal_exactly_when_identical(monkeypatch, memo_keys):
+    # a sweep case is equal when its two interned minors are one object; a
+    # value that escaped the shared table, or outlived one of its clears,
+    # would be equal without being identical
+    clears = []
+    real_clear = identity.SharedMinors.clear
+
+    def counted(self):
+        clears.append(len(self.memo))
+        real_clear(self)
+
+    monkeypatch.setattr(identity, "SWEEP_MEMO_KEYS", memo_keys)
+    monkeypatch.setattr(identity.SharedMinors, "clear", counted)
+    seen = Counter()
+
+    def per_shape(check, cases):
+        for _, _, dh, de in cases:
+            assert (dh is de) == (dh == de), (check.shape, dh, de)
+            seen[dh is de] += 1
+
+    summary = run_sweep(3, 3, per_shape=per_shape)
+    assert sum(seen.values()) == summary.total == 13310
+    assert seen[True] == summary.holds_equal + summary.fails_equal == 10476 + 2041
+    if memo_keys == 40:
+        assert len(clears) > 2 * 3 * 2
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import time
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -140,21 +142,60 @@ def test_hypothesis_violation_reported():
 
 
 def test_clause_memo_computes_each_pair_once(monkeypatch):
-    # every selection of one shape reads the shape's clause table, so each
-    # (a', b') clause is computed once however many selections ask for it
-    clause, calls = shape_module.parallelogram_clause, Counter()
+    # every selection of one shape reads the shape's clause table, and the
+    # table is built once per shape however many selections ask for it
+    clause, builds = parallelogram_clause, Counter()
+    table = SkewShape.__dict__["failing_clauses"]
 
-    def counted(shape, a_p, b_p):
-        calls[a_p, b_p] += 1
-        return clause(shape, a_p, b_p)
+    def counted(shape):
+        builds[shape] += 1
+        return table.func(shape)
 
-    monkeypatch.setattr(shape_module, "parallelogram_clause", counted)
+    counted_table = cached_property(counted)
+    counted_table.__set_name__(SkewShape, "failing_clauses")
+    monkeypatch.setattr(SkewShape, "failing_clauses", counted_table)
     shape = make_skew([2, 1, 0], [3, 3, 1])
     for sel in selections(3):
         pairs = [(a_p, b_p) for a_p in sel.a_comp for b_p in sel.b_comp]
         violations = tuple(p for p in pairs if not clause(shape, *p))
         assert parallelogram_hypothesis(shape, sel) == (not violations, violations)
-    assert len(calls) == 16 and max(calls.values()) == 1
+    assert builds == {shape: 1}
+
+
+def _clause_table(shape):
+    width = shape.n + 1
+    return sum(
+        1 << k for k in range(width * width) if not parallelogram_clause(shape, *divmod(k, width))
+    )
+
+
+def test_failing_clauses_match_each_clause():
+    # 27,199 shapes: the partition shapes with n <= 5, parts <= 5, and the
+    # composition shapes with n <= 3, parts <= 3
+    shapes = [s for n in range(1, 6) for s in skew_shapes(n, 5)]
+    shapes += [s for n in range(1, 4) for s in composition_shapes(n, 3)]
+    assert len(shapes) == 27199
+    mismatched = [s for s in shapes if s.failing_clauses != _clause_table(s)]
+    assert not mismatched
+    assert sum(1 for s in shapes if s.failing_clauses) > 10000
+
+
+def test_failing_clauses_of_a_tall_shape_are_built_in_quadratic_time():
+    # one clause is an O(n) loop, so a table built clause by clause would
+    # be cubic: about 17 million steps at n = 255
+    tall = SkewShape((0,) * 255, (1000,) * 255)
+    t0 = time.perf_counter()
+    assert tall.failing_clauses == 0
+    assert time.perf_counter() - t0 < 0.5
+    # a tall shape whose clauses do fail, against the clause itself on a
+    # sample of pairs
+    steps = make_skew([255 - i for i in range(255)], [1000 - 3 * i for i in range(255)])
+    t0 = time.perf_counter()
+    table = steps.failing_clauses
+    assert time.perf_counter() - t0 < 0.5
+    for a_p, b_p in [(a, b) for a in range(0, 256, 17) for b in range(0, 256, 13)]:
+        assert (table >> a_p * 256 + b_p & 1) == (not parallelogram_clause(steps, a_p, b_p))
+    assert table
 
 
 def test_selections_with_the_same_failing_pairs_share_one_check():
