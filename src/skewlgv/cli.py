@@ -20,7 +20,7 @@ text once per shape and fills in between them the texts of the case's
 selection, of its hypothesis check and of its (det_h, det_e) pair, each
 memoised by identity.  The sweep interns its minors, so a pair is equal
 when its two values are one object.  The memos belong to one `cmd_sweep`
-call and are bounded: they are dropped with n and past _SWEEP_TEXTS texts.
+call and are bounded: they are dropped past _SWEEP_TEXTS texts.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def _report_dict(report, kind: str | None = None) -> dict:
     return payload
 
 
-# the sweep's minors of one n are one object only between two clears of its
-# memos, so the JSONL writer also drops its texts past this many
+# equal minors are new objects after each clear of the sweep's memos, so the
+# JSONL writer drops its texts, which would go unread, past this many
 _SWEEP_TEXTS = 1 << 12
 
 
@@ -151,7 +151,6 @@ def _sweep_writer(stream):
     """
     texts: dict = {}
     kept: list = []
-    n = None  # the n whose texts are kept
 
     def put(key, objs, **fields) -> str:
         kept.append(objs)
@@ -159,11 +158,7 @@ def _sweep_writer(stream):
         return text
 
     def write(check: identity.ShapeCheck, cases: list) -> None:
-        nonlocal n
-        if not cases:
-            return
-        if check.shape.n != n or len(texts) > _SWEEP_TEXTS:
-            n = check.shape.n
+        if len(texts) > _SWEEP_TEXTS:
             texts.clear()
             kept.clear()
         payload = _report_dict(check.report(*cases[0][:2]))
@@ -288,10 +283,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     items = list(conn.iter_connectors(lat, disjoint_only=args.disjoint, cap=cap))
     # under --disjoint the walk has already cut every crossing tuple
     disjoint = [args.disjoint or c.is_disjoint() for c in items]
-    total = Polynomial.zero()
-    for c, ok in zip(items, disjoint):
-        if ok:
-            total = total + c.weight
+    total = Polynomial.sum(c.weight for c, ok in zip(items, disjoint) if ok)
     # every complement is built before anything is printed, so a failed
     # walk leaves stdout empty
     reds = [
@@ -445,9 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="verify every shape/selection up to bounds")
     p_sweep.add_argument("--max-n", type=int, required=True)
     p_sweep.add_argument("--max-part", type=int, required=True)
-    mode = p_sweep.add_mutually_exclusive_group()
-    mode.add_argument("--hypothesis-only", action="store_true", help="skip cases whose hypothesis fails")
-    mode.add_argument("--all", action="store_true", help="verify every case (default)")
+    p_sweep.add_argument("--hypothesis-only", action="store_true", help="skip cases whose hypothesis fails")
     p_sweep.add_argument("--jsonl", metavar="PATH", help="stream one JSON report per case")
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -146,10 +146,7 @@ def enumerate_paths(lat: Lattice, src: Node, snk: Node) -> list[Path]:
 
 def weighted_path_count(lat: Lattice, src: Node, snk: Node) -> Polynomial:
     """Sum of path weights between one source/sink pair."""
-    acc = Polynomial.zero()
-    for p in enumerate_paths(lat, src, snk):
-        acc = acc + p.weight
-    return acc
+    return Polynomial.sum(p.weight for p in enumerate_paths(lat, src, snk))
 
 
 def pair_path_lists(lat: Lattice) -> list[list[Path]]:
@@ -231,10 +228,7 @@ def iter_connectors(
 def connector_sum(lat: Lattice, cap: int | None = None) -> Polynomial:
     """Total weight of the vertex-disjoint connectors; the brute-force side
     of the path-count determinant identity."""
-    acc = Polynomial.zero()
-    for c in iter_connectors(lat, disjoint_only=True, cap=cap):
-        acc = acc + c.weight
-    return acc
+    return Polynomial.sum(c.weight for c in iter_connectors(lat, disjoint_only=True, cap=cap))
 
 
 def _walk(start: Node, stop_at: Node, divert_at: frozenset[Node], lat: Lattice) -> Path:

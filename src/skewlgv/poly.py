@@ -19,11 +19,14 @@ are equal exactly when their term maps are equal.  All values are
 immutable.  Zero is one object: a polynomial built, summed, negated or
 multiplied to no terms is `Polynomial.zero()`.
 
-`Polynomial.fold_product`, the one product loop, adds sign * p * q into a
+`Polynomial.fold_product`, the one sum loop, adds sign * p * q into a
 term map: one map per determinant minor.  Only a pair whose key ORs' sum
 sets a guard bit is multiplied apart and checked key by key.  Cancelled
 keys leave the map after each pair, so the first key past the bound is
-the one a sum of single products names.
+the one a sum of single products names.  Sums, differences, negation and
+products by an int fold into it with a factor of one, and
+`Polynomial.sum` folds any number of summands into one term map; only
+the product of two monomials takes a path of its own.
 
 Outside this module a monomial is a tuple of (variable index, exponent)
 pairs, sorted by variable index, with every exponent positive.  The
@@ -48,9 +51,9 @@ every h/e entry relies on.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache, reduce
-from operator import or_
+from operator import mul, or_
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -270,39 +273,29 @@ class Polynomial:
             return hash(t.get(0, 0))
         return hash(frozenset(t.items()))
 
-    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+    def _fold(self, sign: int, other: "Polynomial | int") -> "Polynomial":
+        """self + sign * other * 1 by `fold_product`; other an int or a Polynomial."""
         if isinstance(other, int):
             other = Polynomial.integer(other)
         elif not isinstance(other, Polynomial):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-        return Polynomial._raw(out) if out else _ZERO
+        return Polynomial.folded(Polynomial.fold_product(self, sign, other, _ONE))
+
+    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+        return self._fold(1, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        t = self._terms
-        return Polynomial._raw({m: -c for m, c in t.items()}) if t else _ZERO
+        return _ZERO._fold(-1, self)
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.integer(other)
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._fold(-1, other)
 
     def __rsub__(self, other: int) -> "Polynomial":
-        return Polynomial.integer(other) + (-self)
+        if not isinstance(other, int):
+            return NotImplemented
+        return Polynomial.integer(other)._fold(-1, self)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         # products by the shared one are common (free lattice steps, the
@@ -310,11 +303,7 @@ class Polynomial:
         if other is _ONE:
             return self
         if isinstance(other, int):
-            if other == 0 or not self._terms:
-                return _ZERO
-            if other == 1:
-                return self
-            return Polynomial._raw({m: c * other for m, c in self._terms.items()})
+            return _ZERO._fold(other, self)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self is _ONE:
@@ -338,14 +327,14 @@ class Polynomial:
 
     @staticmethod
     def fold_product(acc, sign: int, p: "Polynomial", q: "Polynomial"):
-        """acc + sign * p * q, sign 1 or -1; acc is a Polynomial or a term
-        map returned here, which is updated in place.  Into the shared
+        """acc + sign * p * q for an int sign; acc is a Polynomial or a
+        term map returned here, which is updated in place.  Into the shared
         zero, a product by one with sign 1 is the other factor."""
         a, b = p._terms, q._terms
         if not a or not b:
             return acc
         if type(acc) is not dict:
-            if acc is _ZERO and sign > 0:
+            if acc is _ZERO and sign == 1:
                 if p is _ONE:
                     return q
                 if q is _ONE:
@@ -353,7 +342,8 @@ class Polynomial:
             acc = dict(acc._terms)
         if len(a) < len(b):
             a, b = b, a
-        near_bound = _guard_bits(reduce(or_, a) + reduce(or_, b))
+        # a product by one keeps the other factor's keys, all in bounds
+        near_bound = q is not _ONE and _guard_bits(reduce(or_, a) + reduce(or_, b))
         out = {} if near_bound else acc
         get = out.get
         for m2, c2 in b.items():
@@ -365,7 +355,7 @@ class Polynomial:
             out = {m: c for m, c in out.items() if c}
             _check_exponents(out)
             return Polynomial.fold_product(acc, 1, Polynomial._raw(out), _ONE)
-        if 0 in acc.values():
+        if not all(acc.values()):
             for m in [m for m, c in acc.items() if not c]:
                 del acc[m]
         return acc
@@ -376,6 +366,14 @@ class Polynomial:
         if type(acc) is dict:
             return Polynomial._raw(acc) if acc else _ZERO
         return acc
+
+    @staticmethod
+    def sum(items: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of the polynomials, folded into one term map."""
+        acc = _ZERO
+        for p in items:
+            acc = Polynomial.fold_product(acc, 1, p, _ONE)
+        return Polynomial.folded(acc)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -425,23 +423,17 @@ class Polynomial:
         images: dict[int, Polynomial] = {}
         for v, val in assignment.items():
             images[v] = Polynomial.integer(val) if isinstance(val, int) else val
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-        acc = _ZERO
-        for m, c in self.sorted_terms():
-            term = Polynomial.integer(c)
-            for v, e in m:
-                if v not in images:
-                    raise MissingVariableError(
-                        f"no substitution given for {_var_text(v)}"
-                    )
-                key = (v, e)
-                p = power_cache.get(key)
-                if p is None:
-                    p = images[v] ** e
-                    power_cache[key] = p
-                term = term * p
-            acc = acc + term
-        return acc
+
+        @lru_cache(maxsize=None)
+        def power(v: int, e: int) -> Polynomial:
+            if v not in images:
+                raise MissingVariableError(f"no substitution given for {_var_text(v)}")
+            return images[v] ** e
+
+        return Polynomial.sum(
+            reduce(mul, (power(v, e) for v, e in m), Polynomial.integer(c))
+            for m, c in self.sorted_terms()
+        )
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the display order (see the module docstring)."""
@@ -575,8 +567,6 @@ def newton_residual(d: int, nvars: int) -> Polynomial:
     """
     if d <= 0:
         raise ValueError("newton_residual requires d > 0")
-    acc = _ZERO
-    for i in range(d + 1):
-        term = e_poly(i, 1, nvars) * h_poly(d - i, 1, nvars)
-        acc = acc + (-term if i % 2 else term)
-    return acc
+    return Polynomial.sum(
+        (-1) ** i * e_poly(i, 1, nvars) * h_poly(d - i, 1, nvars) for i in range(d + 1)
+    )

@@ -10,6 +10,7 @@ import itertools
 
 from skewlgv.connectors import _disjoint, enumerate_paths
 from skewlgv.detring import _cofactors, _square_minors
+from skewlgv.identity import build_full_H
 from skewlgv.lattice import Lattice
 from skewlgv.poly import Polynomial
 from skewlgv.shape import Node, SkewShape
@@ -74,6 +75,14 @@ def unitriangular_inverse(rows):
             for j in range(n)
         ]
     return tuple(map(tuple, inv))
+
+
+def full_g(shape):
+    """G[a'][b'] = (-1)^(a'+b') X[b'][a'], where X is the inverse of the
+    shape's full h-matrix: the signed transpose of X."""
+    x = unitriangular_inverse(build_full_H(shape))
+    full = range(len(x))
+    return tuple(tuple(-x[b][a] if (a + b) % 2 else x[b][a] for b in full) for a in full)
 
 
 def naive_connectors(lat, disjoint_only=True):

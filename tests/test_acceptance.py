@@ -27,8 +27,9 @@ from skewlgv.connectors import (
     complementary,
     enumerate_paths,
 )
-from skewlgv.detring import det, jacobi_check, matmul
+from skewlgv.detring import det, jacobi_check, matmul, minors
 from skewlgv.identity import (
+    ShapeCheck,
     build_e_matrix,
     build_full_E,
     build_full_H,
@@ -54,6 +55,7 @@ from skewlgv.shape import (
 )
 from support import (
     composition_shapes,
+    full_g,
     identity_matrix,
     is_partition_pair,
     line_extreme_lattice,
@@ -525,4 +527,27 @@ def test_criterion_10_clauses_are_where_e_inverts_h():
         shapes == 26089 and not mismatched,
         f"G = signed transpose of H^-1 differs from the e-grid exactly at the failing "
         f"clauses on all {shapes} partition shapes with n <= 5, parts <= 5 ({elapsed:.1f}s)",
+    )
+
+
+def test_criterion_11_h_minors_are_complementary_minors_of_g():
+    # Jacobi's complementary-minor theorem: the full h-matrix H is upper
+    # unitriangular, so det H = 1 and det_h(A, B) = det G(A^c, B^c), where
+    # G is the signed transpose of H^-1; no lattice and no hypothesis
+    t0 = time.perf_counter()
+    cases = mismatched = 0
+    for n in range(1, MAX_N + 1):
+        sels = [sel.masks for sel in selections(n)]
+        for shape in skew_shapes(n, MAX_PART):
+            minor_h = ShapeCheck(shape).minor_h
+            minor_g = minors([g for row in full_g(shape) for g in row], n + 1, ONE, ZERO)
+            for a_set, b_set, a_comp, b_comp in sels:
+                cases += 1
+                mismatched += minor_h(a_set, b_set) != minor_g(a_comp, b_comp)
+    elapsed = time.perf_counter() - t0
+    report(
+        11,
+        cases == 481018 and not mismatched,
+        f"det_h = det G(A^c, B^c) on all {cases} cases with n <= {MAX_N}, "
+        f"parts <= {MAX_PART}, {mismatched} mismatched ({elapsed:.1f}s)",
     )

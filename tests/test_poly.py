@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -467,6 +468,8 @@ def check_against_oracle(compute, expected: dict) -> None:
         got = compute()
         assert dict(got.terms) == expected
         assert len(got.terms) == len(expected)
+        if not expected:
+            assert got is ZERO
 
 
 variable_indices = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 45))
@@ -485,8 +488,8 @@ oracle_terms = st.dictionaries(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(oracle_terms, oracle_terms, st.integers(0, 3))
-def test_arithmetic_against_tuple_oracle(a, b, k):
+@given(oracle_terms, oracle_terms, st.integers(0, 3), st.lists(oracle_terms, max_size=5), small_ints)
+def test_arithmetic_against_tuple_oracle(a, b, k, summands, c):
     pa, pb = Polynomial(a), Polynomial(b)
     assert dict(pa.terms) == a
     assert Polynomial(pa.terms) == pa
@@ -494,6 +497,33 @@ def test_arithmetic_against_tuple_oracle(a, b, k):
     check_against_oracle(lambda: pa + pb, oracle_add(a, b))
     check_against_oracle(lambda: pa - pb, oracle_add(a, b, -1))
     check_against_oracle(lambda: pa**k, oracle_pow(a, k))
+    # the int forms and negation, each one fold of the sum kernel
+    constant = oracle_clean({(): c})
+    check_against_oracle(lambda: -pa, oracle_add({}, a, -1))
+    check_against_oracle(lambda: c - pa, oracle_add(constant, a, -1))
+    check_against_oracle(lambda: pa - c, oracle_add(a, constant, -1))
+    check_against_oracle(lambda: c + pa, oracle_add(a, constant))
+    check_against_oracle(lambda: pa * c, oracle_mul(a, constant))
+    check_against_oracle(lambda: c * pa, oracle_mul(a, constant))
+    # many summands into one term map, and a cancelling list among them
+    expected = reduce(oracle_add, summands, {})
+    check_against_oracle(lambda: Polynomial.sum(map(Polynomial, summands)), expected)
+    check_against_oracle(lambda: Polynomial.sum([pa, pb, -pa, -pb]), {})
+
+
+def test_sum_is_zero_by_identity_and_leaves_its_summands_unchanged():
+    assert Polynomial.sum([]) is ZERO
+    assert Polynomial.sum(iter([X1, -X1])) is ZERO
+    assert Polynomial.sum([ZERO, ZERO]) is ZERO
+    p, q, r = 2 * X1 + X2, X1 * X2 - X1, -2 * X1 - Q**3
+    before = [(dict(s.terms), str(s)) for s in (p, q, r)]
+    total = Polynomial.sum([p, q, r])
+    assert str(total) == "-q^3 + x1*x2 - x1 + x2"
+    # the first summand is adopted as it stands and copied only when a
+    # second one comes
+    assert [(dict(s.terms), str(s)) for s in (p, q, r)] == before
+    assert Polynomial.sum([p]) is p
+    assert Polynomial.sum([ZERO, p, ZERO]) is p
 
 
 single_terms = st.tuples(
